@@ -8,112 +8,53 @@ against observed data, and corpora of comparisons are analyzed for
 whether performance gaps clear the reconstructed interval widths.
 """
 
-from .calibration import (
-    CalibrationRecord,
-    CalibrationSummary,
-    CalibrationTable,
-    calibrate,
-    export_calibration_points,
-    write_calibration_csv,
-)
-from .corpus import (
-    CorpusSummary,
-    MethodResult,
-    PaperAnalysis,
-    PaperRecord,
-    analyze_corpus,
-    analyze_paper,
-    rank_methods,
-    summarize_analyses,
-)
-from .descriptive import SampleSummary, interpolated_quantile, summarize
-from .glm import (
-    GlmFit,
-    InsufficientDataError,
-    RankDeficientError,
-    TrainingPair,
-    fit_gamma_log_glm,
-    irls_gamma_log,
-    load_model,
-    paper_model,
-    predict_sd_pct,
-    save_model,
-    sd_upper_bound_pct,
-)
-from .intervals import (
-    AggregateReport,
-    CiComparison,
-    ConfidenceInterval,
-    approximate_sd,
-    bootstrap_ci,
-    compare_cis,
-    parametric_ci,
-)
-from .simulate import (
-    BetaFamily,
-    CaseResult,
-    ConstantFamily,
-    PairsResult,
-    SimSpec,
-    demo_corpus,
-    generate_results,
-    make_training_pairs,
-    parse_family,
-    sample_beta,
-)
-from .special import ln_gamma, regularized_incomplete_beta, t_cdf, t_pdf, t_quantile
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregateReport",
-    "BetaFamily",
-    "CalibrationRecord",
-    "CalibrationSummary",
-    "CalibrationTable",
-    "CaseResult",
-    "CiComparison",
-    "ConfidenceInterval",
-    "ConstantFamily",
-    "CorpusSummary",
-    "GlmFit",
-    "InsufficientDataError",
-    "MethodResult",
-    "PairsResult",
-    "PaperAnalysis",
-    "PaperRecord",
-    "RankDeficientError",
-    "SampleSummary",
-    "SimSpec",
-    "TrainingPair",
-    "analyze_corpus",
-    "analyze_paper",
-    "approximate_sd",
-    "bootstrap_ci",
-    "calibrate",
-    "compare_cis",
-    "demo_corpus",
-    "export_calibration_points",
-    "fit_gamma_log_glm",
-    "generate_results",
-    "interpolated_quantile",
-    "irls_gamma_log",
-    "ln_gamma",
-    "load_model",
-    "make_training_pairs",
-    "paper_model",
-    "parametric_ci",
-    "parse_family",
-    "predict_sd_pct",
-    "rank_methods",
-    "regularized_incomplete_beta",
-    "sample_beta",
-    "save_model",
-    "sd_upper_bound_pct",
-    "summarize",
-    "summarize_analyses",
-    "t_cdf",
-    "t_pdf",
-    "t_quantile",
-    "write_calibration_csv",
-]
+# Public names by defining submodule. A submodule loads on first access
+# to one of its names (PEP 562), so `import segci` stays cheap and the
+# aggregate path (parametric_ci, approximate_sd) never loads numpy.
+_EXPORTS = {
+    "calibration": (
+        "CalibrationRecord", "CalibrationSummary", "CalibrationTable", "calibrate",
+        "export_calibration_points", "write_calibration_csv",
+    ),
+    "corpus": (
+        "CorpusSummary", "MethodResult", "PaperAnalysis", "PaperRecord", "analyze_corpus",
+        "analyze_paper", "rank_methods", "summarize_analyses",
+    ),
+    "descriptive": ("SampleSummary", "interpolated_quantile", "summarize"),
+    "glm": (
+        "GlmFit", "InsufficientDataError", "RankDeficientError", "TrainingPair",
+        "fit_gamma_log_glm", "irls_gamma_log", "load_model", "paper_model", "predict_sd_pct",
+        "save_model", "sd_upper_bound_pct",
+    ),
+    "intervals": (
+        "AggregateReport", "CiComparison", "ConfidenceInterval", "approximate_sd",
+        "bootstrap_ci", "compare_cis", "parametric_ci",
+    ),
+    "simulate": (
+        "BetaFamily", "CaseResult", "ConstantFamily", "PairsResult", "SimSpec", "demo_corpus",
+        "generate_results", "make_training_pairs", "parse_family", "sample_beta",
+    ),
+    "special": ("ln_gamma", "regularized_incomplete_beta", "t_cdf", "t_pdf", "t_quantile"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

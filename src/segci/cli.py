@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
 
-from . import calibration as cal
-from . import corpus as corpus_mod
+# Only the modules of the aggregate path load here; the handlers that
+# need numpy (calibrate, analyze, fit, simulate) import their modules
+# themselves, so `segci ci` runs without numpy.
 from . import glm
 from . import io as sio
-from . import simulate as sim
 from .intervals import AggregateReport, approximate_sd, parametric_ci
 
 __all__ = ["main", "build_parser", "bundled_demo_corpus_path"]
@@ -131,6 +132,8 @@ def _validate_common(args) -> None:
 
 
 def _cmd_fit(args) -> int:
+    from . import simulate as sim
+
     fmt = sio.detect_training_format(args.input)
     if fmt == "per_case":
         rows = sio.read_per_case_csv(args.input)
@@ -165,8 +168,8 @@ def _cmd_ci(args) -> int:
         raise UsageError(f"--mean must lie in [0, 1], got {args.mean}")
     if args.n < 2:
         raise UsageError(f"--n must be >= 2, got {args.n}")
-    if args.sd is not None and args.sd < 0.0:
-        raise UsageError(f"--sd must be >= 0, got {args.sd}")
+    if args.sd is not None and not 0.0 <= args.sd < math.inf:
+        raise UsageError(f"--sd must be finite and >= 0, got {args.sd}")
 
     report = AggregateReport(args.mean, args.n, args.sd)
     if report.sd is not None and not args.force_model_sd:
@@ -186,6 +189,8 @@ def _cmd_ci(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import calibration as cal
+
     results = sio.read_calibration_csv(args.input)
     records, summary = cal.calibrate(results, _load_model(args), args.alpha, args.min_n)
     cal.write_calibration_csv(records, args.points)
@@ -220,6 +225,8 @@ def _summary_doc(s) -> dict:
 
 
 def _cmd_analyze(args) -> int:
+    from . import corpus as corpus_mod
+
     papers = sio.read_corpus_csv(args.input)
     model = _load_model(args)
     analyses = [
@@ -266,6 +273,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import simulate as sim
+
     if args.tasks < 1 or args.methods < 1 or args.cases < 1:
         raise UsageError("--tasks, --methods and --cases must all be >= 1")
     try:

@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TrainingPair",
@@ -79,6 +80,8 @@ class GlmFit:
 
 
 def _gamma_deviance(y: np.ndarray, mu: np.ndarray) -> float:
+    import numpy as np
+
     return float(2.0 * np.sum(-np.log(y / mu) + (y - mu) / mu))
 
 
@@ -90,6 +93,8 @@ def irls_gamma_log(design: np.ndarray, y: np.ndarray) -> GlmFit:
     score equations X' (y - mu)/mu are satisfied to 1e-8 per
     observation, or 100 iterations elapse.
     """
+    import numpy as np
+
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     if design.ndim != 2 or design.shape[0] != y.shape[0]:
@@ -151,6 +156,8 @@ def fit_gamma_log_glm(data: Sequence[TrainingPair]) -> GlmFit:
         raise InsufficientDataError(
             f"need at least 4 training pairs, got {len(data)}"
         )
+    import numpy as np
+
     x = np.array([pair.dsc_mean_pct for pair in data], dtype=float)
     y = np.array([pair.sd_pct for pair in data], dtype=float)
     if np.any(y <= 0.0):

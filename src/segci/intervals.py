@@ -13,15 +13,10 @@ per-case values and serves as the non-parametric cross-check.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .descriptive import interpolated_quantile
 from .glm import GlmFit, predict_sd_pct
-from .rng import DOMAIN_BOOTSTRAP, substream
 from .special import t_quantile
 
 __all__ = [
@@ -58,8 +53,8 @@ class AggregateReport:
             raise ValueError(f"mean_dsc must lie in [0, 1], got {self.mean_dsc}")
         if self.n < 1:
             raise ValueError(f"test size must be >= 1, got {self.n}")
-        if self.sd is not None and self.sd < 0.0:
-            raise ValueError(f"sd must be >= 0, got {self.sd}")
+        if self.sd is not None and not 0.0 <= self.sd < math.inf:
+            raise ValueError(f"sd must be finite and >= 0, got {self.sd}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +114,10 @@ def parametric_ci(
     """
     if n < 2:
         raise ValueError(f"parametric CI needs n >= 2 for n-1 degrees of freedom, got n={n}")
-    if sd < 0.0:
-        raise ValueError(f"sd must be >= 0, got {sd}")
+    if not math.isfinite(mean_dsc):
+        raise ValueError(f"mean_dsc must be finite, got {mean_dsc}")
+    if not 0.0 <= sd < math.inf:
+        raise ValueError(f"sd must be finite and >= 0, got {sd}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     half_width = t_quantile(1.0 - alpha / 2.0, n - 1) * sd / math.sqrt(n)
@@ -133,13 +130,6 @@ def parametric_ci(
         clamped = clipped_lower != lower or clipped_upper != upper
         lower, upper = clipped_lower, clipped_upper
     return ConfidenceInterval(lower, upper, alpha, PARAMETRIC_T, clamped)
-
-
-def _resample_mean(values: np.ndarray, seed: int, index: int) -> float:
-    rng = substream(seed, DOMAIN_BOOTSTRAP, index)
-    idx = rng.integers(0, values.size, size=values.size)
-    # compensated sum: a resample of a constant sample keeps the exact mean
-    return math.fsum(values[idx]) / values.size
 
 
 def bootstrap_ci(
@@ -157,6 +147,13 @@ def bootstrap_ci(
     sorted first, making the result a function of the multiset of
     values rather than their ordering.
     """
+    # numpy and the random streams load here, so the aggregate path
+    # (parametric_ci and approximate_sd) runs without them.
+    import numpy as np
+
+    from .descriptive import interpolated_quantile
+    from .rng import DOMAIN_BOOTSTRAP, substream
+
     arr = np.sort(np.asarray(values, dtype=float))
     if arr.size == 0:
         raise ValueError("bootstrap_ci needs a non-empty sample")
@@ -170,14 +167,22 @@ def bootstrap_ci(
         # constant sample: every resample mean equals the shared value
         return ConfidenceInterval(float(arr[0]), float(arr[0]), alpha, BOOTSTRAP_PERCENTILE)
 
+    def resample_mean(index: int) -> float:
+        rng = substream(seed, DOMAIN_BOOTSTRAP, index)
+        idx = rng.integers(0, arr.size, size=arr.size)
+        # compensated sum: a resample of a constant sample keeps the exact mean
+        return math.fsum(arr[idx]) / arr.size
+
     means = np.empty(n_resamples)
     if workers <= 1:
         for r in range(n_resamples):
-            means[r] = _resample_mean(arr, seed, r)
+            means[r] = resample_mean(r)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         def fill(bounds: tuple[int, int]) -> None:
             for r in range(*bounds):
-                means[r] = _resample_mean(arr, seed, r)
+                means[r] = resample_mean(r)
 
         step = -(-n_resamples // workers)
         chunks = [(s, min(s + step, n_resamples)) for s in range(0, n_resamples, step)]

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .corpus import MethodResult, PaperRecord
 from .glm import TrainingPair
-from .simulate import CaseResult
+
+if TYPE_CHECKING:
+    from .corpus import PaperRecord
+    from .simulate import CaseResult
 
 __all__ = [
     "DataFormatError",
@@ -112,6 +114,8 @@ def detect_training_format(path: "str | Path") -> str:
 
 
 def read_per_case_csv(path: "str | Path") -> list[CaseResult]:
+    from .simulate import CaseResult  # loads numpy, which the aggregate path avoids
+
     rows = _read_rows(path, PER_CASE_HEADER)
     if not rows:
         raise DataFormatError("no data rows", path)
@@ -150,6 +154,8 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
     Papers keep their order of first appearance; each paper's rows must
     agree on test_n.
     """
+    from .corpus import MethodResult, PaperRecord  # loads numpy, as above
+
     rows = _read_rows(path, CORPUS_HEADER)
     if not rows:
         raise DataFormatError("no data rows", path)

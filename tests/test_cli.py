@@ -58,6 +58,24 @@ class TestCi:
         code, _, _ = run(capsys, "ci", "--mean", "0.5", "--n", "10", "--alpha", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sd(self, capsys, value):
+        # --sd nan used to exit 0 with the clamped interval [0, 1].
+        code, out, err = run(capsys, "ci", "--mean", "0.9", "--n", "100", f"--sd={value}")
+        assert code == 1
+        assert out == ""
+        assert "--sd must be finite" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--mean", "nan"), ("--mean", "inf"), ("--alpha", "nan"), ("--alpha", "inf"),
+    ])
+    def test_non_finite_mean_and_alpha(self, capsys, flag, value):
+        argv = {"--mean": "0.9", "--n": "100", "--alpha": "0.05", flag: value}
+        code, out, err = run(capsys, "ci", *[x for kv in argv.items() for x in kv])
+        assert code == 1
+        assert out == ""
+        assert flag in err
+
 
 class TestFit:
     def test_exact_fit_pairs(self, capsys, tmp_path):

@@ -37,6 +37,14 @@ class TestApproximateSd:
         with pytest.raises(ValueError):
             AggregateReport(0.5, 10, sd=-0.1)
 
+    @pytest.mark.parametrize("mean,sd", [
+        (math.nan, None), (math.inf, None), (-math.inf, None),
+        (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf),
+    ])
+    def test_report_rejects_non_finite(self, mean, sd):
+        with pytest.raises(ValueError):
+            AggregateReport(mean, 10, sd=sd)
+
 
 class TestParametricCi:
     def test_worked_example_n100(self):
@@ -93,6 +101,16 @@ class TestParametricCi:
             parametric_ci(0.5, -0.1, 10)
         with pytest.raises(ValueError):
             parametric_ci(0.5, 0.1, 10, alpha=1.5)
+
+    @pytest.mark.parametrize("mean,sd,alpha", [
+        (math.nan, 0.1, 0.05), (math.inf, 0.1, 0.05), (-math.inf, 0.1, 0.05),
+        (0.5, math.nan, 0.05), (0.5, math.inf, 0.05),
+        (0.5, 0.1, math.nan), (0.5, 0.1, math.inf),
+    ])
+    def test_rejects_non_finite(self, mean, sd, alpha):
+        # NaN passes `sd < 0` and min/max would clamp it to [0, 1].
+        with pytest.raises(ValueError):
+            parametric_ci(mean, sd, 10, alpha=alpha)
 
 
 class TestBootstrapCi:

@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,12 @@ from scipy import special as sp_special
 from scipy import stats as sp_stats
 
 from segci import ln_gamma, regularized_incomplete_beta, t_cdf, t_quantile
+from segci import special
+from segci.cli import main
+
+# q = min(p, 1 - p), log-spaced over [1e-15, 0.5); the largest is about 0.2.
+TAIL_LEVELS = [float(q) for q in np.logspace(-15, math.log10(0.5), 40, endpoint=False)]
+GRID_DF = (1.0, 2.0, 5.0, 30.0, 1e3, 1e5, 1e7)
 
 
 class TestLnGamma:
@@ -112,9 +120,13 @@ class TestTQuantile:
             value = t_quantile(0.975, df)
             assert value < previous
             previous = value
-        assert t_quantile(0.975, 1e6) == pytest.approx(1.959964, abs=1e-3)
+        assert t_quantile(0.975, 1e6) == pytest.approx(float(sp_stats.t.ppf(0.975, 1e6)), rel=1e-9)
 
-    @pytest.mark.parametrize("p,df", [(0.0, 5.0), (1.0, 5.0), (-0.1, 5.0), (0.5, 0.5)])
+    @pytest.mark.parametrize(
+        "p,df",
+        [(0.0, 5.0), (1.0, 5.0), (-0.1, 5.0), (0.5, 0.5), (math.nan, 5.0), (0.9, math.nan),
+         (0.9, math.inf)],
+    )
     def test_domain_error(self, p, df):
         with pytest.raises(ValueError):
             t_quantile(p, df)
@@ -130,3 +142,90 @@ class TestTQuantile:
         for p in (0.1, 0.6, 0.975):
             for df in (1.0, 9.0, 120.0):
                 assert t_cdf(t_quantile(p, df), df) == pytest.approx(p, abs=1e-10)
+
+
+class TestTQuantileTail:
+    """Relative accuracy of the upper-tail solve, far into both tails."""
+
+    @pytest.mark.parametrize("df", GRID_DF)
+    def test_matches_scipy_over_log_spaced_tails(self, df):
+        for q in TAIL_LEVELS:
+            for p in (q, 1.0 - q):
+                ref = float(sp_stats.t.ppf(p, df))
+                assert abs(t_quantile(p, df) - ref) <= 1e-9 * abs(ref) + 1e-15, (p, df)
+
+    def test_tiny_upper_tail(self):
+        # The old CDF inversion returned 12.0 here.
+        ref = float(sp_stats.t.ppf(1.0 - 5e-15, 99.0))
+        assert t_quantile(1.0 - 5e-15, 99.0) == pytest.approx(ref, rel=1e-9)
+
+    def test_cauchy_far_tail(self):
+        p = 1.0 - 1e-13
+        # cot(pi q) = 1 / (pi q) (1 + O(q^2)), with q = 1 - p exact
+        assert t_quantile(p, 1.0) == pytest.approx(1.0 / (math.pi * (1.0 - p)), rel=1e-9)
+        assert t_quantile(p, 1.0) == pytest.approx(float(sp_stats.t.ppf(p, 1.0)), rel=1e-9)
+
+    @pytest.mark.parametrize("df", [1.01, 1.5, 3.0, 7.5])
+    def test_smallest_levels_do_not_raise(self, df):
+        # As t grows, q = (df/t^2)^(df/2) / (df B(df/2, 1/2)) (1 + O(df/t^2)).
+        # scipy's ppf saturates or overflows here, so the asymptote is the reference.
+        ln_beta = math.lgamma(df / 2) + math.lgamma(0.5) - math.lgamma(df / 2 + 0.5)
+        ln_t = 0.5 * math.log(df) - (math.log(df * 1e-300) + ln_beta) / df
+        assert t_quantile(1e-300, df) == pytest.approx(-math.exp(ln_t), rel=1e-12)
+
+    def test_near_the_median(self):
+        # q = 1/2 - pdf(0) t + O(t^3); pdf(0) = 3/8 for df = 4.
+        assert t_quantile(0.5 - 1e-10, 4.0) == pytest.approx(-1e-10 / 0.375, rel=1e-9)
+
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(special, "_memo", {})
+        monkeypatch.setattr(special, "_SOLVE_MAX_STEPS", 1)
+        with pytest.raises(ArithmeticError):
+            t_quantile(0.3, 1.3)
+
+    def test_memo_returns_identical_float(self, monkeypatch):
+        monkeypatch.setattr(special, "_memo", {})
+        first = t_quantile(0.975, 17.0)
+
+        def no_solve(q, df):
+            raise AssertionError("memoized call solved again")
+
+        monkeypatch.setattr(special, "_upper_quantile", no_solve)
+        assert t_quantile(0.975, 17.0) is first
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(special, "_memo", {})
+        monkeypatch.setattr(special, "_MEMO_SIZE", 3)
+        for df in range(3, 10):
+            t_quantile(0.975, float(df))
+        assert len(special._memo) == 3
+
+    def test_tail_evaluations_per_solve(self, monkeypatch):
+        calls = []
+        tail_term = special._tail_term
+
+        def counted(t, df):
+            calls.append(df)
+            return tail_term(t, df)
+
+        monkeypatch.setattr(special, "_tail_term", counted)
+        monkeypatch.setattr(special, "_memo", {})
+        for n in range(4, 3004):
+            t_quantile(0.975, n - 1)
+        # The Hill start is within the stop tolerance almost always.
+        assert len(calls) / 3000 <= 1.05
+        calls.clear()
+        solves = 0
+        for df in GRID_DF[2:]:
+            for q in TAIL_LEVELS:
+                special._memo.clear()
+                t_quantile(q, df)
+                solves += 1
+        assert len(calls) / solves <= 1.5
+
+    def test_cli_tiny_alpha_matches_scipy(self, capsys):
+        assert main(["ci", "--mean", "0.5", "--n", "100", "--sd", "0.1", "--alpha", "1e-14"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        half_width = float(sp_stats.t.ppf(1.0 - 5e-15, 99)) * 0.1 / 10.0
+        assert doc["lower"] == pytest.approx(0.5 - half_width, abs=1e-6)
+        assert doc["upper"] == pytest.approx(0.5 + half_width, abs=1e-6)
