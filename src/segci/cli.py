@@ -72,8 +72,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="do not clip intervals and SD predictions to their valid range")
     parser.add_argument("--min-n", type=int, default=20,
                         help="calibration summary keeps records with n above this (default 20)")
-    parser.add_argument("--boot-samples", type=int, default=10_000,
-                        help="bootstrap resample count (default 10000)")
     parser.add_argument("--force-model-sd", action="store_true",
                         help="ignore reported SDs and always use the model approximation")
 
@@ -125,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_common(args) -> None:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if args.boot_samples < 100:
-        raise UsageError(f"--boot-samples must be >= 100, got {args.boot_samples}")
     if args.min_n < 0:
         raise UsageError(f"--min-n must be >= 0, got {args.min_n}")
 

@@ -152,7 +152,7 @@ def bootstrap_ci(
     import numpy as np
 
     from .descriptive import interpolated_quantile
-    from .rng import DOMAIN_BOOTSTRAP, substream
+    from .rng import DOMAIN_BOOTSTRAP, substreams
 
     arr = np.sort(np.asarray(values, dtype=float))
     if arr.size == 0:
@@ -167,25 +167,22 @@ def bootstrap_ci(
         # constant sample: every resample mean equals the shared value
         return ConfidenceInterval(float(arr[0]), float(arr[0]), alpha, BOOTSTRAP_PERCENTILE)
 
-    def resample_mean(index: int) -> float:
-        rng = substream(seed, DOMAIN_BOOTSTRAP, index)
-        idx = rng.integers(0, arr.size, size=arr.size)
-        # compensated sum: a resample of a constant sample keeps the exact mean
-        return math.fsum(arr[idx]) / arr.size
+    def fill(bounds: tuple[int, int]) -> None:
+        streams = substreams(seed, DOMAIN_BOOTSTRAP)
+        for r in range(*bounds):
+            idx = streams(r).integers(0, arr.size, size=arr.size)
+            # compensated sum: a resample of a constant sample keeps the exact mean
+            means[r] = math.fsum(arr[idx]) / arr.size
 
     means = np.empty(n_resamples)
     if workers <= 1:
-        for r in range(n_resamples):
-            means[r] = resample_mean(r)
+        fill((0, n_resamples))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        def fill(bounds: tuple[int, int]) -> None:
-            for r in range(*bounds):
-                means[r] = resample_mean(r)
-
         step = -(-n_resamples // workers)
         chunks = [(s, min(s + step, n_resamples)) for s in range(0, n_resamples, step)]
+        # each chunk resets its own generator, so no stream is shared
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, chunks))
 

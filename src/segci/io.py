@@ -14,8 +14,9 @@ All numeric fields use a dot decimal separator; floats are written with
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .glm import TrainingPair
 
@@ -57,7 +58,8 @@ class DataFormatError(Exception):
         super().__init__(where + message)
 
 
-def _read_rows(path: "str | Path", expected_header: list[str]) -> list[tuple[int, list[str]]]:
+def _read_rows(path: "str | Path", expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, fields) for each non-blank data row, checking shape."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -68,23 +70,24 @@ def _read_rows(path: "str | Path", expected_header: list[str]) -> list[tuple[int
             raise DataFormatError(
                 f"unexpected header {header!r}, expected {expected_header!r}", path, 1
             )
-        rows = []
         for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             if len(row) != len(expected_header):
                 raise DataFormatError(
                     f"expected {len(expected_header)} fields, found {len(row)}", path, line_no
                 )
-            rows.append((line_no, row))
-    return rows
+            yield line_no, row
 
 
 def _parse_float(cell: str, name: str, path, line_no: int) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DataFormatError(f"field {name!r} is not a number: {cell!r}", path, line_no) from None
+    if not math.isfinite(value):
+        raise DataFormatError(f"field {name!r} must be finite, got {cell!r}", path, line_no)
+    return value
 
 
 def _parse_int(cell: str, name: str, path, line_no: int) -> int:
@@ -116,15 +119,14 @@ def detect_training_format(path: "str | Path") -> str:
 def read_per_case_csv(path: "str | Path") -> list[CaseResult]:
     from .simulate import CaseResult  # loads numpy, which the aggregate path avoids
 
-    rows = _read_rows(path, PER_CASE_HEADER)
-    if not rows:
-        raise DataFormatError("no data rows", path)
     out = []
-    for line_no, (task_id, method_id, case_id, dsc) in rows:
+    for line_no, (task_id, method_id, case_id, dsc) in _read_rows(path, PER_CASE_HEADER):
         value = _parse_float(dsc, "dsc", path, line_no)
         if not 0.0 <= value <= 1.0:
             raise DataFormatError(f"dsc must lie in [0, 1], got {value}", path, line_no)
         out.append(CaseResult(task_id.strip(), method_id.strip(), case_id.strip(), value))
+    if not out:
+        raise DataFormatError("no data rows", path)
     return out
 
 
@@ -137,7 +139,7 @@ def write_per_case_csv(rows: Sequence[CaseResult], path: "str | Path") -> None:
 
 
 def read_pairs_csv(path: "str | Path") -> list[TrainingPair]:
-    rows = _read_rows(path, PAIRS_HEADER)
+    rows = list(_read_rows(path, PAIRS_HEADER))
     if not rows:
         raise DataFormatError("no data rows", path)
     out = []
@@ -156,7 +158,7 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
     """
     from .corpus import MethodResult, PaperRecord  # loads numpy, as above
 
-    rows = _read_rows(path, CORPUS_HEADER)
+    rows = list(_read_rows(path, CORPUS_HEADER))
     if not rows:
         raise DataFormatError("no data rows", path)
     methods: dict[str, list[MethodResult]] = {}
@@ -192,7 +194,7 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
 
 
 def read_calibration_csv(path: "str | Path") -> list[tuple[str, str, int, float, float]]:
-    rows = _read_rows(path, CALIBRATION_HEADER)
+    rows = list(_read_rows(path, CALIBRATION_HEADER))
     if not rows:
         raise DataFormatError("no data rows", path)
     out = []

@@ -18,7 +18,7 @@ import numpy as np
 
 from .descriptive import summarize
 from .glm import TrainingPair
-from .rng import DOMAIN_CASES, DOMAIN_DEMO_CORPUS, gamma_variate, substream
+from .rng import DOMAIN_CASES, DOMAIN_DEMO_CORPUS, gamma_variate, substreams
 from .corpus import MethodResult, PaperRecord
 
 __all__ = [
@@ -119,13 +119,14 @@ class CaseResult(NamedTuple):
 def generate_results(spec: SimSpec) -> list[CaseResult]:
     """Per-case DSC table, fully determined by the spec."""
     excluded = set(spec.exclude)
+    streams = substreams(spec.seed, DOMAIN_CASES)
     rows: list[CaseResult] = []
     for t in range(spec.n_tasks):
         for m in range(spec.methods_per_task):
             if (t, m) in excluded:
                 continue
             for c in range(spec.cases_per_task):
-                rng = substream(spec.seed, DOMAIN_CASES, t, m, c)
+                rng = streams(t, m, c)
                 rows.append(
                     CaseResult(
                         task_id=f"task{t + 1:02d}",
@@ -199,9 +200,10 @@ def demo_corpus() -> list[PaperRecord]:
     published-literature corpus; shipped as ``data/demo_corpus.csv`` and
     regenerated bit-identically by this function.
     """
+    streams = substreams(_DEMO_SEED, DOMAIN_DEMO_CORPUS)
     papers: list[PaperRecord] = []
     for i in range(_DEMO_N_PAPERS):
-        rng = substream(_DEMO_SEED, DOMAIN_DEMO_CORPUS, i)
+        rng = streams(i)
         m1 = round(float(rng.uniform(*_DEMO_MEAN_RANGE)), 6)
         n = int(
             np.clip(

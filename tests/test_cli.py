@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -120,6 +121,17 @@ class TestFit:
         code, _, _ = run(capsys, "fit", "--input", str(path), "--output", str(tmp_path / "m.json"))
         assert code == 2
 
+    def test_non_finite_pair(self, capsys, tmp_path):
+        # used to reach the solver and fail with "SVD did not converge"
+        path = tmp_path / "pairs.csv"
+        write_exact_fit_pairs(path)
+        with open(path, "a") as fh:
+            fh.write("nan,5.0\n")
+        code, _, err = run(capsys, "fit", "--input", str(path), "--output", str(tmp_path / "m.json"))
+        assert code == 2
+        assert "line 11" in err and "finite" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fit", "--input", str(tmp_path / "nope.csv"),
                          "--output", str(tmp_path / "m.json"))
@@ -154,6 +166,16 @@ class TestCalibrate:
                            "--points", str(tmp_path / "p.csv"))
         assert code == 2
         assert "empty" in err
+
+    def test_non_finite_observed_sd(self, capsys, tmp_path):
+        src = tmp_path / "cal.csv"
+        src.write_text("task_id,method_id,n,mean_dsc,observed_sd\n"
+                       "t,m,100,0.8,0.1\nt,m2,100,0.8,nan\n")
+        code, _, err = run(capsys, "calibrate", "--input", str(src),
+                           "--summary", str(tmp_path / "s.json"),
+                           "--points", str(tmp_path / "p.csv"))
+        assert code == 2
+        assert "line 3" in err and "observed_sd" in err
 
 
 class TestAnalyze:
@@ -266,6 +288,23 @@ class TestSimulate:
             "converged": True,
         }
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--seed", "42"],
+             "7d1b204cc47c7991bba328ff6b8cd22e02b991fd93c6b9e44d53d7c374a59d67"),
+            (["--cases", "200", "--family", "beta:4,2", "--seed", "7"],
+             "d65dcaaa8a0019bc29a01b63d00224bb2a2174689461ea73800869c0cebfce95"),
+        ],
+        ids=["default", "beta_4_2"],
+    )
+    def test_output_bytes_pinned(self, capsys, tmp_path, argv, digest):
+        # frozen per-case CSV bytes: any change to the stream layout or
+        # to the draw order shows up here
+        out = tmp_path / "cases.csv"
+        assert run(capsys, "simulate", "--output", str(out), *argv)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_bad_family(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--output", str(tmp_path / "x.csv"),
                          "--family", "cauchy:0")
@@ -283,6 +322,10 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    def test_boot_samples_flag_removed(self, capsys):
+        code, _, _ = run(capsys, "ci", "--mean", "0.9", "--n", "100", "--boot-samples", "500")
+        assert code == 1
 
     def test_missing_required_flag(self, capsys):
         assert main(["fit", "--input", "x.csv"]) == 1

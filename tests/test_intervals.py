@@ -142,6 +142,22 @@ class TestBootstrapCi:
         threaded = bootstrap_ci(values, seed=11, n_resamples=800, workers=4)
         assert sequential == threaded
 
+    @pytest.mark.parametrize(
+        "n, seed, lower, upper",
+        [
+            (50, 3, "0x1.8c50bff72074cp-1", "0x1.aed46cded5473p-1"),
+            (2000, 8, "0x1.97b2f2bfbe865p-1", "0x1.9d30f364d2016p-1"),
+        ],
+        ids=["n50", "n2000"],
+    )
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_endpoints_pinned(self, n, seed, lower, upper, workers):
+        # frozen endpoints, bit for bit, for the sequential and the
+        # threaded paths
+        values = beta_sample(n, 8.0, 2.0, seed=seed)
+        ci = bootstrap_ci(values, seed=seed, n_resamples=1_000, workers=workers)
+        assert (ci.lower.hex(), ci.upper.hex()) == (lower, upper)
+
     def test_agreement_with_parametric(self):
         # The documented cross-check: on a well-behaved sample of 100
         # cases the percentile bootstrap and the t interval nearly agree.

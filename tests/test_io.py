@@ -135,3 +135,47 @@ def test_calibration_csv_validation(tmp_path):
     path.write_text("task_id,method_id,n,mean_dsc,observed_sd\nliver,unet,1,0.90,0.10\n")
     with pytest.raises(DataFormatError):
         read_calibration_csv(path)
+
+
+NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+@pytest.mark.parametrize("row", ["{t},8.0", "80.0,{t}"], ids=["mean", "sd"])
+def test_pairs_csv_rejects_non_finite(tmp_path, row, token):
+    path = tmp_path / "pairs.csv"
+    path.write_text("dsc_mean_pct,sd_pct\n80.0,14.0\n" + row.format(t=token) + "\n")
+    with pytest.raises(DataFormatError, match="finite") as info:
+        read_pairs_csv(path)
+    assert info.value.line == 3
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+@pytest.mark.parametrize("row", ["t,m,100,{t},0.1", "t,m,100,0.9,{t}"], ids=["mean", "sd"])
+def test_calibration_csv_rejects_non_finite(tmp_path, row, token):
+    path = tmp_path / "cal.csv"
+    path.write_text("task_id,method_id,n,mean_dsc,observed_sd\n" + row.format(t=token) + "\n")
+    with pytest.raises(DataFormatError, match="finite") as info:
+        read_calibration_csv(path)
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("token", NON_FINITE)
+def test_corpus_and_per_case_reject_non_finite(tmp_path, token):
+    # a NaN SD would otherwise widen the leader CI to [0, 1]
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text(f"paper_id,method_id,mean_dsc,test_n,sd\np1,a,0.9,100,{token}\n")
+    with pytest.raises(DataFormatError) as info:
+        read_corpus_csv(corpus)
+    assert info.value.line == 2
+    cases = tmp_path / "cases.csv"
+    cases.write_text(f"task_id,method_id,case_id,dsc\nt,m,c,{token}\n")
+    with pytest.raises(DataFormatError) as info:
+        read_per_case_csv(cases)
+    assert info.value.line == 2
+
+
+def test_blank_rows_skipped(tmp_path):
+    path = tmp_path / "pairs.csv"
+    path.write_text("dsc_mean_pct,sd_pct\n\n , \n80.0,14.0\n,\n")
+    assert len(read_pairs_csv(path)) == 1

@@ -1,0 +1,61 @@
+import numpy as np
+import pytest
+
+from segci.rng import substream, substreams
+
+PATHS = [(), (4,), (4, 7), (4, 7, 11), (-1,), (2**64 + 3, 5)]
+DOMAINS = (1, 9)
+
+
+def draws(rng):
+    # a mix of 64-bit, 32-bit and buffered consumers of the bit generator
+    return (
+        rng.random(3).tolist(),
+        rng.random(2, dtype=np.float32).tolist(),
+        [int(rng.integers(0, 7)) for _ in range(5)],
+        rng.standard_normal(2).tolist(),
+        rng.integers(0, 2**40, size=2).tolist(),
+        float(rng.uniform(0.2, 0.9)),
+    )
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("path", PATHS)
+    def test_reset_matches_fresh_stream(self, domain, path):
+        streams = substreams(31, domain)
+        assert draws(streams(*path)) == draws(substream(31, domain, *path))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_after_half_used_uint32(self, path):
+        streams = substreams(31, 1)
+        rng = streams(2, 2)
+        for _ in range(3):
+            rng.integers(0, 7)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert draws(streams(*path)) == draws(substream(31, 1, *path))
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_after_part_used_buffer(self, path):
+        streams = substreams(31, 1)
+        rng = streams(3)
+        rng.random()
+        assert rng.bit_generator.state["buffer_pos"] not in (0, 4)
+        assert draws(streams(*path)) == draws(substream(31, 1, *path))
+
+    def test_indices_are_masked_to_64_bits(self):
+        streams = substreams(8, 2)
+        assert draws(streams(2**64 + 3)) == draws(substream(8, 2, 3))
+        assert draws(streams(-1)) == draws(substream(8, 2, 2**64 - 1))
+
+    def test_revisiting_a_path_restarts_it(self):
+        streams = substreams(8, 2)
+        first = draws(streams(5, 1))
+        draws(streams(6))
+        assert draws(streams(5, 1)) == first
+
+    def test_at_most_three_indices(self):
+        with pytest.raises(ValueError):
+            substream(1, 1, 0, 1, 2, 3)
+        with pytest.raises(ValueError):
+            substreams(1, 1)(0, 1, 2, 3)

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
@@ -12,16 +15,20 @@ from segci import (
     parse_family,
     sample_beta,
 )
-from segci.rng import gamma_variate, substream
+from segci.cli import bundled_demo_corpus_path
+from segci.io import CORPUS_HEADER
+from segci.rng import gamma_variate, substream, substreams
 
 
 class TestSampleBeta:
     def test_uniform_mean(self):
-        draws = [sample_beta(1.0, 1.0, substream(17, 5, i)) for i in range(100_000)]
+        streams = substreams(17, 5)
+        draws = [sample_beta(1.0, 1.0, streams(i)) for i in range(100_000)]
         assert np.mean(draws) == pytest.approx(0.5, abs=0.005)
 
     def test_beta_8_2_mean(self):
-        draws = [sample_beta(8.0, 2.0, substream(18, 5, i)) for i in range(100_000)]
+        streams = substreams(18, 5)
+        draws = [sample_beta(8.0, 2.0, streams(i)) for i in range(100_000)]
         assert np.mean(draws) == pytest.approx(0.8, abs=0.005)
 
     def test_deterministic_stream(self):
@@ -43,12 +50,14 @@ class TestSampleBeta:
 
     def test_distribution_matches_reference(self):
         # distribution-level check against scipy's Beta CDF
-        draws = [sample_beta(3.0, 7.0, substream(23, 5, i)) for i in range(20_000)]
+        streams = substreams(23, 5)
+        draws = [sample_beta(3.0, 7.0, streams(i)) for i in range(20_000)]
         result = sp_stats.kstest(draws, sp_stats.beta(3.0, 7.0).cdf)
         assert result.pvalue > 0.01
 
     def test_small_shape_boost_path(self):
-        draws = [sample_beta(0.3, 0.4, substream(29, 5, i)) for i in range(20_000)]
+        streams = substreams(29, 5)
+        draws = [sample_beta(0.3, 0.4, streams(i)) for i in range(20_000)]
         expected = 0.3 / 0.7
         assert np.mean(draws) == pytest.approx(expected, abs=0.01)
 
@@ -184,3 +193,12 @@ class TestDemoCorpus:
         for p in demo_corpus():
             means = [m.mean_dsc for m in p.methods]
             assert means == sorted(means, reverse=True)
+
+    def test_matches_bundled_csv_bytes(self):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CORPUS_HEADER)
+        for p in demo_corpus():
+            for m in p.methods:
+                writer.writerow([p.paper_id, m.method_id, f"{m.mean_dsc:.6f}", p.test_n, ""])
+        assert buf.getvalue().encode("utf-8") == bundled_demo_corpus_path().read_bytes()
