@@ -10,7 +10,7 @@ median performance gap, and for roughly two thirds of the papers the
 runner-up sits inside the leader's interval.
 """
 
-from segci import analyze_paper, paper_model, summarize_analyses
+from segci import analyze_corpus, paper_model
 from segci.cli import bundled_demo_corpus_path
 from segci.io import read_corpus_csv
 
@@ -19,8 +19,7 @@ papers = read_corpus_csv(bundled_demo_corpus_path())
 print(f"corpus: {len(papers)} papers, "
       f"{sum(len(p.methods) for p in papers)} method results")
 
-analyses = [analyze_paper(p, model) for p in papers]
-summary = summarize_analyses(analyses)
+summary = analyze_corpus(papers, model)
 
 print(f"\nfirst-ranked CI width: median {summary.width.median:.4f}, "
       f"IQR ({summary.width.q1:.4f}, {summary.width.q3:.4f}), max {summary.width.max:.4f}")
@@ -35,7 +34,7 @@ for panel, stats in summary.boxplots.items():
     print(f"  {panel:>6}: {row}")
 
 # A few individual papers, largest gaps first.
-ranked = sorted(analyses, key=lambda a: a.delta_dsc, reverse=True)
+ranked = sorted(summary.analyses, key=lambda a: a.delta_dsc, reverse=True)
 print(f"\n{'paper':>9} {'gap':>7} {'CI width':>9} {'runner-up inside?':>18}")
 for a in ranked[:5]:
     print(f"{a.paper_id:>9} {a.delta_dsc:>7.4f} {a.ci_first.width:>9.4f} "

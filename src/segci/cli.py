@@ -58,20 +58,22 @@ def _dump_json(doc: dict, path: "str | Path | None") -> str:
 
 
 def _load_model(args) -> glm.GlmFit:
-    if args.model is None:
-        return glm.paper_model()
-    return glm.load_model(args.model)
+    try:
+        return glm.paper_model() if args.model is None else glm.load_model(args.model)
+    except ValueError as exc:
+        raise sio.DataFormatError(f"bad model file: {exc}", args.model) from None
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
-    parser.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     parser.add_argument("--model", type=str, default=None,
                         help="model JSON path (default: bundled published model)")
+
+
+def _add_sd_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-clamp", dest="clamp", action="store_false",
-                        help="do not clip intervals and SD predictions to their valid range")
-    parser.add_argument("--min-n", type=int, default=20,
-                        help="calibration summary keeps records with n above this (default 20)")
+                        help="do not clip intervals to [0, 1] (model SDs keep their "
+                        "two-point cap)")
     parser.add_argument("--force-model-sd", action="store_true",
                         help="ignore reported SDs and always use the model approximation")
 
@@ -87,24 +89,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit the mean-to-SD model on per-case or pairs CSV")
     p_fit.add_argument("--input", required=True, help="per-case or training-pairs CSV")
     p_fit.add_argument("--output", required=True, help="model JSON to write")
-    _add_common_flags(p_fit)
 
     p_ci = sub.add_parser("ci", help="reconstruct one CI from aggregate values")
     p_ci.add_argument("--mean", type=float, required=True, help="mean DSC in [0, 1]")
     p_ci.add_argument("--n", type=int, required=True, help="test-set size (>= 2)")
     p_ci.add_argument("--sd", type=float, default=None, help="reported SD (fraction scale)")
-    _add_common_flags(p_ci)
+    _add_model_flags(p_ci)
+    _add_sd_flags(p_ci)
 
     p_cal = sub.add_parser("calibrate", help="predicted vs observed CI widths")
     p_cal.add_argument("--input", required=True, help="calibration results CSV")
     p_cal.add_argument("--summary", required=True, help="summary JSON to write")
     p_cal.add_argument("--points", required=True, help="scatter points CSV to write")
-    _add_common_flags(p_cal)
+    _add_model_flags(p_cal)
+    p_cal.add_argument("--min-n", type=int, default=20,
+                       help="summary keeps records with n above this (default 20)")
 
     p_an = sub.add_parser("analyze", help="corpus-level gap vs CI-width analysis")
     p_an.add_argument("--input", required=True, help="comparison corpus CSV")
     p_an.add_argument("--output", required=True, help="report JSON to write")
-    _add_common_flags(p_an)
+    _add_model_flags(p_an)
+    _add_sd_flags(p_an)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic per-case results")
     p_sim.add_argument("--output", required=True, help="per-case CSV to write")
@@ -115,16 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-case distribution: beta:a,b or constant:c (default beta:8,2)")
     p_sim.add_argument("--exclude", type=str, default="",
                        help="comma-separated task:method index pairs to drop, e.g. 9:18")
-    _add_common_flags(p_sim)
+    p_sim.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
 
     return parser
 
 
-def _validate_common(args) -> None:
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if args.min_n < 0:
-        raise UsageError(f"--min-n must be >= 0, got {args.min_n}")
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise UsageError(f"--alpha must lie in (0, 1), got {alpha}")
 
 
 def _cmd_fit(args) -> int:
@@ -160,6 +163,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_ci(args) -> int:
+    _check_alpha(args.alpha)
     if not 0.0 <= args.mean <= 1.0:
         raise UsageError(f"--mean must lie in [0, 1], got {args.mean}")
     if args.n < 2:
@@ -187,6 +191,9 @@ def _cmd_ci(args) -> int:
 def _cmd_calibrate(args) -> int:
     from . import calibration as cal
 
+    _check_alpha(args.alpha)
+    if args.min_n < 0:
+        raise UsageError(f"--min-n must be >= 0, got {args.min_n}")
     results = sio.read_calibration_csv(args.input)
     records, summary = cal.calibrate(results, _load_model(args), args.alpha, args.min_n)
     cal.write_calibration_csv(records, args.points)
@@ -223,16 +230,11 @@ def _summary_doc(s) -> dict:
 def _cmd_analyze(args) -> int:
     from . import corpus as corpus_mod
 
-    papers = sio.read_corpus_csv(args.input)
-    model = _load_model(args)
-    analyses = [
-        corpus_mod.analyze_paper(
-            p, model, alpha=args.alpha, clamp=args.clamp,
-            prefer_reported_sd=not args.force_model_sd,
-        )
-        for p in papers
-    ]
-    summary = corpus_mod.summarize_analyses(analyses)
+    _check_alpha(args.alpha)
+    summary = corpus_mod.analyze_corpus(
+        sio.read_corpus_csv(args.input), _load_model(args), alpha=args.alpha, clamp=args.clamp,
+        prefer_reported_sd=not args.force_model_sd,
+    )
     doc = {
         "schema": REPORT_SCHEMA_VERSION,
         "n_papers": summary.n_papers,
@@ -255,7 +257,7 @@ def _cmd_analyze(args) -> int:
                 "ratio_delta_over_width": a.ratio_delta_over_width,
                 "sd_source": a.sd_source,
             }
-            for a in sorted(analyses, key=lambda a: a.paper_id)
+            for a in summary.analyses
         ],
     }
     _dump_json(doc, args.output)
@@ -316,18 +318,11 @@ def main(argv: "list[str] | None" = None) -> int:
         # argparse exits 2 on usage problems; remap to the documented code
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        _validate_common(args)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except sio.DataFormatError as exc:
+    except (sio.DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,7 +10,9 @@ gap-to-width ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 from .descriptive import SampleSummary, summarize
@@ -38,8 +40,8 @@ class MethodResult:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mean_dsc <= 1.0:
             raise ValueError(f"mean_dsc must lie in [0, 1], got {self.mean_dsc}")
-        if self.reported_sd is not None and self.reported_sd < 0.0:
-            raise ValueError(f"reported_sd must be >= 0, got {self.reported_sd}")
+        if self.reported_sd is not None and not 0.0 <= self.reported_sd < math.inf:
+            raise ValueError(f"reported_sd must be finite and >= 0, got {self.reported_sd}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class PaperRecord:
     methods: tuple[MethodResult, ...]
 
     def __post_init__(self) -> None:
-        if self.test_n < 2:
-            raise ValueError(f"test_n must be >= 2, got {self.test_n}")
+        if not isinstance(self.test_n, Integral) or self.test_n < 2:
+            raise ValueError(f"test_n must be an integer >= 2, got {self.test_n!r}")
         if not self.methods:
             raise ValueError(f"paper {self.paper_id} carries no methods")
 
@@ -73,13 +75,16 @@ class PaperAnalysis:
 
 @dataclass(frozen=True)
 class CorpusSummary:
+    """Corpus aggregates, plus the per-paper analyses sorted by paper_id."""
+
     n_papers: int
     n_with_runner_up: int
     width: SampleSummary
     delta: SampleSummary | None
     ratio: SampleSummary | None
     overlap_fraction: float | None
-    boxplots: dict = field(default_factory=dict)
+    boxplots: dict
+    analyses: tuple[PaperAnalysis, ...]
 
 
 def rank_methods(paper: PaperRecord) -> list[MethodResult]:
@@ -134,7 +139,7 @@ def analyze_paper(
 def summarize_analyses(analyses: Sequence[PaperAnalysis]) -> CorpusSummary:
     """Aggregate per-paper analyses; stable over input order (sorts by paper_id)."""
     if not analyses:
-        raise ValueError("corpus summary needs at least one paper")
+        raise ValueError("corpus must contain at least one paper")
     ordered = sorted(analyses, key=lambda a: a.paper_id)
     widths = [a.ci_first.width for a in ordered]
     deltas = [a.delta_dsc for a in ordered if a.delta_dsc is not None]
@@ -165,6 +170,7 @@ def summarize_analyses(analyses: Sequence[PaperAnalysis]) -> CorpusSummary:
         ratio=ratio_summary,
         overlap_fraction=overlap_fraction,
         boxplots=boxplots,
+        analyses=tuple(ordered),
     )
 
 
@@ -176,10 +182,7 @@ def analyze_corpus(
     prefer_reported_sd: bool = True,
 ) -> CorpusSummary:
     """Analyze every paper and aggregate; see :func:`summarize_analyses`."""
-    if not papers:
-        raise ValueError("corpus must contain at least one paper")
-    analyses = [
+    return summarize_analyses([
         analyze_paper(p, model, alpha=alpha, clamp=clamp, prefer_reported_sd=prefer_reported_sd)
         for p in papers
-    ]
-    return summarize_analyses(analyses)
+    ])

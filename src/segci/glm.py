@@ -44,6 +44,7 @@ MU_FLOOR = 1e-6
 DEVIANCE_RTOL = 1e-8
 SCORE_RTOL = 1e-8
 MAX_ITERATIONS = 100
+_MAX_LN_SD = 709.78  # exp() of anything larger overflows a double
 
 
 class InsufficientDataError(ValueError):
@@ -193,12 +194,15 @@ def predict_sd_pct(
     With ``clamp`` enabled (the default) the prediction is capped at the
     two-point-distribution bound sqrt(x * (100 - x)) wherever that bound
     is positive; at the degenerate endpoints x = 0 and x = 100 the raw
-    model value is returned.
+    model value is returned. A model SD that is not finite raises ValueError.
     """
     if not 0.0 <= dsc_mean_pct <= 100.0:
         raise ValueError(f"mean DSC must lie in [0, 100], got {dsc_mean_pct}")
     b0, b1, b2 = _coefficients(model)
-    predicted = math.exp(b0 + b1 * dsc_mean_pct + b2 * dsc_mean_pct * dsc_mean_pct)
+    ln_sd = b0 + b1 * dsc_mean_pct + b2 * dsc_mean_pct * dsc_mean_pct
+    if not -math.inf < ln_sd < _MAX_LN_SD:
+        raise ValueError(f"model SD is not finite at mean DSC {dsc_mean_pct}% (ln SD = {ln_sd})")
+    predicted = math.exp(ln_sd)
     if clamp:
         bound = sd_upper_bound_pct(dsc_mean_pct)
         if bound > 0.0:
@@ -222,13 +226,20 @@ def save_model(fit: GlmFit, path: "str | Path") -> None:
 
 
 def _model_from_doc(doc: dict) -> GlmFit:
-    coeffs = doc["coefficients"]
-    if len(coeffs) != 3:
-        raise ValueError(f"model file must carry 3 coefficients, found {len(coeffs)}")
+    coeffs = doc.get("coefficients")
+    if not (isinstance(coeffs, list) and len(coeffs) == 3
+            and all(type(c) in (int, float) for c in coeffs)):
+        raise ValueError(f"model file must carry 3 numeric coefficients, got {coeffs!r}")
     if doc.get("scale") != "percent":
         raise ValueError(f"unsupported model scale {doc.get('scale')!r}")
+    b0, b1, b2 = coefficients = tuple(float(c) for c in coeffs)
+    # ln SD is a quadratic in x, so on [0, 100] it peaks at an end or at
+    # the vertex: a finite SD there is a finite SD everywhere.
+    vertex = -b1 / (2.0 * b2) if b2 < 0.0 else 0.0
+    for x in (0.0, 100.0, min(max(vertex, 0.0), 100.0)):
+        predict_sd_pct(coefficients, x, clamp=False)
     return GlmFit(
-        coefficients=tuple(float(c) for c in coeffs),  # type: ignore[arg-type]
+        coefficients=coefficients,  # type: ignore[arg-type]
         dispersion=doc.get("dispersion"),
         deviance=None,
         iterations=0,
@@ -240,6 +251,8 @@ def _model_from_doc(doc: dict) -> GlmFit:
 def load_model(path: "str | Path") -> GlmFit:
     """Load a JSON model document produced by :func:`save_model`."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - _MODEL_SCHEMA_KEYS
     if unknown:
         raise ValueError(f"unknown model file fields: {sorted(unknown)}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 from .glm import GlmFit, predict_sd_pct
@@ -51,8 +52,8 @@ class AggregateReport:
     def __post_init__(self) -> None:
         if not 0.0 <= self.mean_dsc <= 1.0:
             raise ValueError(f"mean_dsc must lie in [0, 1], got {self.mean_dsc}")
-        if self.n < 1:
-            raise ValueError(f"test size must be >= 1, got {self.n}")
+        if not isinstance(self.n, Integral) or self.n < 1:
+            raise ValueError(f"test size must be an integer >= 1, got {self.n!r}")
         if self.sd is not None and not 0.0 <= self.sd < math.inf:
             raise ValueError(f"sd must be finite and >= 0, got {self.sd}")
 
@@ -137,13 +138,12 @@ def bootstrap_ci(
     alpha: float = 0.05,
     n_resamples: int = 10_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> ConfidenceInterval:
     """Percentile bootstrap interval for the mean of per-case values.
 
     Each resample draws its own counter-based random stream from
     (seed, resample index), so the result is bit-identical for a given
-    seed regardless of ``workers`` or evaluation order. The sample is
+    seed regardless of the order the resamples are drawn in. The sample is
     sorted first, making the result a function of the multiset of
     values rather than their ordering.
     """
@@ -167,24 +167,12 @@ def bootstrap_ci(
         # constant sample: every resample mean equals the shared value
         return ConfidenceInterval(float(arr[0]), float(arr[0]), alpha, BOOTSTRAP_PERCENTILE)
 
-    def fill(bounds: tuple[int, int]) -> None:
-        streams = substreams(seed, DOMAIN_BOOTSTRAP)
-        for r in range(*bounds):
-            idx = streams(r).integers(0, arr.size, size=arr.size)
-            # compensated sum: a resample of a constant sample keeps the exact mean
-            means[r] = math.fsum(arr[idx]) / arr.size
-
+    streams = substreams(seed, DOMAIN_BOOTSTRAP)
     means = np.empty(n_resamples)
-    if workers <= 1:
-        fill((0, n_resamples))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        step = -(-n_resamples // workers)
-        chunks = [(s, min(s + step, n_resamples)) for s in range(0, n_resamples, step)]
-        # each chunk resets its own generator, so no stream is shared
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, chunks))
+    for r in range(n_resamples):
+        idx = streams(r).integers(0, arr.size, size=arr.size)
+        # compensated sum: a resample of a constant sample keeps the exact mean
+        means[r] = math.fsum(arr[idx]) / arr.size
 
     means.sort()
     lower = interpolated_quantile(means, alpha / 2.0)

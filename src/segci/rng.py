@@ -3,8 +3,8 @@
 Every consumer of randomness in this package derives an independent
 Philox stream from a user seed, a fixed domain tag, and up to three path
 indices (for example task/method/case). Streams are therefore identical
-regardless of evaluation order or parallelism, and stable across
-platforms for a given numpy major series.
+regardless of evaluation order, and stable across platforms for a given
+numpy major series.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ def substreams(seed: int, domain: int) -> Callable[..., np.random.Generator]:
     building a new generator.
 
     The returned generator is valid only until the next call: that call
-    rewinds it to another stream. One ``substreams`` object must not be
-    shared across threads; give each thread its own.
+    rewinds it to another stream.
     """
     rng = substream(seed, domain)
     bitgen = rng.bit_generator
@@ -91,8 +90,8 @@ def gamma_variate(shape: float, rng: np.random.Generator) -> float:
     Shapes below 1 are boosted to shape+1 and corrected with a uniform
     power factor.
     """
-    if not shape > 0.0:
-        raise ValueError(f"gamma shape must be positive, got {shape}")
+    if not 0.0 < shape < math.inf:
+        raise ValueError(f"gamma shape must be positive and finite, got {shape}")
     if shape < 1.0:
         u = rng.random()
         return gamma_variate(shape + 1.0, rng) * u ** (1.0 / shape)

@@ -5,7 +5,7 @@ per-case scores are drawn from a Beta family (bounded on [0, 1] like a
 Dice score, with the mean-variance coupling the SD model captures) or
 held constant. Every draw comes from a counter-derived stream keyed by
 (seed, task, method, case), so output is bit-identical across runs,
-platforms and any parallel evaluation order.
+platforms and any evaluation order.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class BetaFamily:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"beta parameters must be positive, got ({self.a}, {self.b})")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError(f"beta parameters must be positive and finite, got ({self.a}, {self.b})")
 
     def draw(self, rng: np.random.Generator) -> float:
         return sample_beta(self.a, self.b, rng)

@@ -18,6 +18,7 @@ from segci import (
     bootstrap_ci,
     calibrate,
     fit_gamma_log_glm,
+    interpolated_quantile,
     paper_model,
     parametric_ci,
     predict_sd_pct,
@@ -25,6 +26,7 @@ from segci import (
 )
 from segci.cli import bundled_demo_corpus_path, main
 from segci.io import read_corpus_csv
+from segci.rng import DOMAIN_BOOTSTRAP, substream
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
 
@@ -152,6 +154,17 @@ def test_criterion_6_brute_force_corpus_equivalence():
         assert elapsed < 1.0, f"criterion 6 took {elapsed:.2f}s"
 
 
+def reference_bootstrap(values, n_resamples, seed, order, alpha=0.05):
+    """Percentile bootstrap with a fresh stream per resample, drawn in ``order``."""
+    arr = np.sort(np.asarray(values, dtype=float))
+    means = np.empty(n_resamples)
+    for r in order:
+        idx = substream(seed, DOMAIN_BOOTSTRAP, r).integers(0, arr.size, size=arr.size)
+        means[r] = math.fsum(arr[idx]) / arr.size
+    means.sort()
+    return interpolated_quantile(means, alpha / 2.0), interpolated_quantile(means, 1.0 - alpha / 2.0)
+
+
 def test_criterion_7_determinism(tmp_path, capsys):
     with report("7 determinism"):
         sim_a = tmp_path / "a.csv"
@@ -177,13 +190,16 @@ def test_criterion_7_determinism(tmp_path, capsys):
         assert fit_a.read_bytes() == fit_b.read_bytes()
         capsys.readouterr()
 
+        # each resample depends only on (seed, resample index): rebuilding
+        # every resample from a fresh stream, in reversed order and in
+        # shuffled blocks, gives the same interval bit for bit
         values = beta_sample(60, 8.0, 2.0, seed=3)
-        results = {
-            bootstrap_ci(values, n_resamples=2_000, seed=19, workers=w)
-            for w in (1, 2, 8)
-        }
-        results.add(bootstrap_ci(values, n_resamples=2_000, seed=19))
-        assert len(results) == 1
+        ci = bootstrap_ci(values, n_resamples=2_000, seed=19)
+        assert bootstrap_ci(values, n_resamples=2_000, seed=19) == ci
+        blocks = [range(start, start + 500) for start in (1500, 0, 1000, 500)]
+        orders = [range(1_999, -1, -1), [r for block in blocks for r in block]]
+        for order in orders:
+            assert reference_bootstrap(values, 2_000, 19, order) == (ci.lower, ci.upper)
 
 
 def test_criterion_8_calibration_identity():

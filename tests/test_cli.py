@@ -5,8 +5,26 @@ import math
 import pytest
 
 from segci.cli import bundled_demo_corpus_path, main
+from test_imports import run_fresh
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
+
+# The flags each command reads; each command refuses the rest of the six
+# that used to be registered on every command.
+READ_FLAGS = {
+    "ci": ["--alpha", "--model", "--no-clamp", "--force-model-sd"],
+    "calibrate": ["--alpha", "--model", "--min-n"],
+    "analyze": ["--alpha", "--model", "--no-clamp", "--force-model-sd"],
+    "simulate": ["--seed"],
+    "fit": [],
+}
+FORMER_FLAGS = ["--alpha", "--seed", "--model", "--no-clamp", "--min-n", "--force-model-sd"]
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, read in READ_FLAGS.items()
+    for flag in FORMER_FLAGS
+    if flag not in read
+]
 
 
 def run(capsys, *argv):
@@ -15,12 +33,123 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write_exact_fit_pairs(path):
+def write_exact_fit_pairs(path, coeffs=PAPER_COEFFS):
     lines = ["dsc_mean_pct,sd_pct"]
     for x in range(10, 100, 10):
-        sd = math.exp(PAPER_COEFFS[0] + PAPER_COEFFS[1] * x + PAPER_COEFFS[2] * x * x)
+        sd = math.exp(coeffs[0] + coeffs[1] * x + coeffs[2] * x * x)
         lines.append(f"{float(x)},{sd!r}")
     path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture
+def base_argv(tmp_path):
+    """A valid invocation of every command, without any optional flag."""
+    pairs = tmp_path / "pairs.csv"
+    write_exact_fit_pairs(pairs)
+    cal = tmp_path / "cal.csv"
+    cal.write_text("task_id,method_id,n,mean_dsc,observed_sd\nt,m,100,0.8,0.1\n")
+    return {
+        "ci": ["ci", "--mean", "0.9", "--n", "100", "--sd", "0.05"],
+        "calibrate": ["calibrate", "--input", str(cal), "--summary", str(tmp_path / "s.json"),
+                      "--points", str(tmp_path / "p.csv")],
+        "analyze": ["analyze", "--input", str(bundled_demo_corpus_path()),
+                    "--output", str(tmp_path / "r.json")],
+        "simulate": ["simulate", "--output", str(tmp_path / "c.csv"), "--tasks", "1",
+                     "--methods", "1", "--cases", "3"],
+        "fit": ["fit", "--input", str(pairs), "--output", str(tmp_path / "m.json")],
+    }
+
+
+@pytest.fixture
+def model_file(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"coefficients": list(PAPER_COEFFS), "scale": "percent"}))
+    return str(path)
+
+
+def flag_argv(flag, model_path):
+    values = {"--alpha": "0.1", "--seed": "9", "--min-n": "3", "--model": model_path}
+    return [flag, values[flag]] if flag in values else [flag]
+
+
+class TestFlags:
+    def test_flag_counts(self):
+        assert sum(len(read) for read in READ_FLAGS.values()) == 12
+        assert len(REMOVED_FLAGS) == 18
+
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                             ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+    def test_unread_flag_is_usage_error(self, capsys, base_argv, tmp_path, command, flag):
+        argv = base_argv[command] + flag_argv(flag, str(tmp_path / "nothing.json"))
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", sorted(READ_FLAGS))
+    def test_read_flags_accepted(self, capsys, base_argv, model_file, command):
+        argv = base_argv[command] + [x for f in READ_FLAGS[command] for x in flag_argv(f, model_file)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("ci", "--alpha", "2"),
+        ("calibrate", "--alpha", "2"),
+        ("analyze", "--alpha", "2"),
+        ("calibrate", "--min-n", "-1"),
+    ])
+    def test_bad_value_is_usage_error(self, capsys, base_argv, command, flag, value):
+        code, _, err = run(capsys, *base_argv[command], flag, value)
+        assert code == 1
+        assert flag in err
+
+
+class TestModelFlag:
+    def test_fitted_model_is_used(self, capsys, tmp_path):
+        coeffs = (1.5, 0.05, -0.0005)
+        pairs = tmp_path / "pairs.csv"
+        write_exact_fit_pairs(pairs, coeffs)
+        model = tmp_path / "model.json"
+        assert run(capsys, "fit", "--input", str(pairs), "--output", str(model))[0] == 0
+        assert json.loads(model.read_text())["coefficients"] == list(coeffs)
+        code, out, _ = run(capsys, "ci", "--mean", "0.9", "--n", "100", "--model", str(model))
+        assert code == 0
+        doc = json.loads(out)
+        expected = math.exp(coeffs[0] + coeffs[1] * 90.0 + coeffs[2] * 8100.0) / 100.0
+        assert doc["sd_used"] == pytest.approx(expected, abs=1e-6)
+        assert doc["sd_used"] != pytest.approx(0.080446, abs=1e-3)  # bundled model's SD
+        assert doc["sd_source"] == "model"
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        "not json",
+        "[2.031, 0.0726, -0.0008]",
+        '{"coefficients": [1e300, 0, 0], "scale": "percent"}',
+        '{"coefficients": [NaN, 0, 0], "scale": "percent"}',
+        '{"coefficients": [2.0, Infinity, 0], "scale": "percent"}',
+        '{"coefficients": [2.0, 0, -Infinity], "scale": "percent"}',
+        '{"coefficients": ["2.0", 0, 0], "scale": "percent"}',
+    ], ids=["empty_object", "not_json", "list", "overflow", "nan", "inf", "minus_inf", "string"])
+    def test_bad_model_file_is_data_error(self, capsys, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "ci", "--mean", "0.9", "--n", "100", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["calibrate", "analyze"])
+    def test_bad_model_file_in_batch_commands(self, capsys, base_argv, tmp_path, command):
+        path = tmp_path / "model.json"
+        path.write_text("{}")
+        code, _, err = run(capsys, *base_argv[command], "--model", str(path))
+        assert code == 2
+        assert str(path) in err
+
+    def test_missing_model_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, _, err = run(capsys, "ci", "--mean", "0.9", "--n", "100", "--model", str(path))
+        assert code == 2
+        assert str(path) in err
 
 
 class TestCi:
@@ -225,6 +354,23 @@ class TestAnalyze:
         assert doc["delta"]["median"] == pytest.approx(0.01, abs=0.005)
         assert doc["overlap_fraction"] == pytest.approx(0.65, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "cf839a57ffc98d237949d08ccf8f983fe83c22a104801d0af764fec40a51ecf1"),
+            (["--no-clamp", "--force-model-sd", "--alpha", "0.1"],
+             "e49249f154129bffe4a255276170fa4055b14552fc3e044d0de6d9d0fb9b1562"),
+        ],
+        ids=["default", "no_clamp_model_sd_alpha_0.1"],
+    )
+    def test_demo_report_bytes_pinned(self, capsys, tmp_path, flags, digest):
+        # frozen report bytes for the bundled demo corpus
+        out = tmp_path / "report.json"
+        code, _, _ = run(capsys, "analyze", "--input", str(bundled_demo_corpus_path()),
+                         "--output", str(out), *flags)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_malformed_corpus(self, capsys, tmp_path):
         src = tmp_path / "corpus.csv"
         src.write_text("paper_id,method_id,mean_dsc,test_n,sd\np1,a,abc,100,\n")
@@ -309,6 +455,16 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--output", str(tmp_path / "x.csv"),
                          "--family", "cauchy:0")
         assert code == 1
+
+    @pytest.mark.parametrize("family", ["beta:inf,2", "beta:2,inf"])
+    def test_infinite_beta_shape_refused(self, tmp_path, family):
+        # a fresh process with a timeout: an accepted infinite shape used
+        # to loop forever in the gamma sampler
+        proc = run_fresh("-m", "segci.cli", "simulate", "--output", str(tmp_path / "x.csv"),
+                         "--tasks", "1", "--methods", "1", "--cases", "2",
+                         "--family", family, timeout=30)
+        assert proc.returncode == 1
+        assert "finite" in proc.stderr
 
     def test_bad_exclude(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--output", str(tmp_path / "x.csv"),

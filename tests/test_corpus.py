@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from segci import (
@@ -92,6 +93,21 @@ class TestAnalyzePaper:
             PaperRecord("p", 1, (MethodResult("m", 0.9),))
 
 
+class TestRecordValidation:
+    @pytest.mark.parametrize("sd", [math.nan, math.inf, -math.inf, -0.1])
+    def test_reported_sd_must_be_finite(self, sd):
+        with pytest.raises(ValueError):
+            MethodResult("m", 0.9, sd)
+
+    @pytest.mark.parametrize("test_n", [2.5, 100.0, "100"])
+    def test_test_n_must_be_an_integer(self, test_n):
+        with pytest.raises(ValueError):
+            PaperRecord("p", test_n, (MethodResult("m", 0.9),))
+
+    def test_numpy_integer_test_n_accepted(self):
+        assert PaperRecord("p", np.int64(100), (MethodResult("m", 0.9),)).test_n == 100
+
+
 class TestAnalyzeCorpus:
     def test_two_paper_overlap_fraction(self):
         papers = [
@@ -129,6 +145,15 @@ class TestAnalyzeCorpus:
         assert summary.n_with_runner_up == 1
         assert summary.width.n == 2
         assert summary.delta.n == 1
+
+    def test_analyses_sorted_by_paper_id(self):
+        papers = [paper("b", 40, 0.8, 0.79), paper("c", 15, 0.7), paper("a", 200, 0.95, 0.9)]
+        summary = analyze_corpus(papers, MODEL)
+        assert [a.paper_id for a in summary.analyses] == ["a", "b", "c"]
+        by_id = {p.paper_id: p for p in papers}
+        assert summary.analyses == tuple(
+            analyze_paper(by_id[pid], MODEL) for pid in ("a", "b", "c")
+        )
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):

@@ -138,6 +138,15 @@ class TestPredict:
                 PAPER_COEFFS, x, clamp=False
             )
 
+    @pytest.mark.parametrize("coeffs", [
+        (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (-math.inf, 0.0, 0.0),
+        (2.0, 0.0, math.nan), (1e300, 0.0, 0.0), (0.0, 8.0, 0.0),
+    ])
+    def test_non_finite_sd_refused(self, coeffs):
+        # (0, 8, 0) gives ln SD = 720 at x = 90, past the float range
+        with pytest.raises(ValueError, match="not finite"):
+            predict_sd_pct(coeffs, 90.0)
+
     def test_accepts_glm_fit(self):
         fit = fit_gamma_log_glm(exact_fit_pairs())
         assert predict_sd_pct(fit, 90.0) == pytest.approx(
@@ -169,6 +178,29 @@ class TestModelFiles:
         path.write_text(json.dumps({"coefficients": [1, 0, 0], "scale": "percent", "extra": 1}))
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        [2.031, 0.0726, -0.0008],
+        {"coefficients": [1, 0], "scale": "percent"},
+        {"coefficients": [1, 0, "0"], "scale": "percent"},
+        {"coefficients": [1, 0, True], "scale": "percent"},
+        {"coefficients": [1e300, 0, 0], "scale": "percent"},
+        {"coefficients": [math.nan, 0, 0], "scale": "percent"},
+        {"coefficients": [0, math.inf, 0], "scale": "percent"},
+        # finite at both ends, but ln SD peaks at 710 at the vertex x = 50
+        {"coefficients": [0, 28.4, -0.284], "scale": "percent"},
+    ], ids=["empty", "list", "two", "string", "bool", "overflow", "nan", "inf", "vertex"])
+    def test_bad_model_document_rejected(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_model(path)
+
+    def test_large_finite_model_loads(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"coefficients": [0, 28.0, -0.28], "scale": "percent"}))
+        assert load_model(path).coefficients == (0.0, 28.0, -0.28)
 
     def test_paper_model(self):
         model = paper_model()

@@ -12,15 +12,16 @@ import segci
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_fresh(code: str) -> subprocess.CompletedProcess:
+def run_fresh(*args: str, timeout: float = 60, cwd=None) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports segci from src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout, cwd=cwd)
 
 
 def assert_no_numpy(code: str) -> None:
-    proc = run_fresh(code + "\nimport sys\nprint('numpy' in sys.modules)\n")
+    proc = run_fresh("-c", code + "\nimport sys\nprint('numpy' in sys.modules)\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
 

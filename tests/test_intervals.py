@@ -45,6 +45,11 @@ class TestApproximateSd:
         with pytest.raises(ValueError):
             AggregateReport(mean, 10, sd=sd)
 
+    @pytest.mark.parametrize("n", [2.5, 10.0, "10"])
+    def test_report_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError):
+            AggregateReport(0.5, n)
+
 
 class TestParametricCi:
     def test_worked_example_n100(self):
@@ -136,12 +141,6 @@ class TestBootstrapCi:
         ci_c = bootstrap_ci(shuffled, seed=77, n_resamples=1_000)
         assert ci_a == ci_b == ci_c
 
-    def test_workers_do_not_change_result(self):
-        values = beta_sample(50, 8.0, 2.0, seed=5)
-        sequential = bootstrap_ci(values, seed=11, n_resamples=800, workers=1)
-        threaded = bootstrap_ci(values, seed=11, n_resamples=800, workers=4)
-        assert sequential == threaded
-
     @pytest.mark.parametrize(
         "n, seed, lower, upper",
         [
@@ -150,12 +149,10 @@ class TestBootstrapCi:
         ],
         ids=["n50", "n2000"],
     )
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_endpoints_pinned(self, n, seed, lower, upper, workers):
-        # frozen endpoints, bit for bit, for the sequential and the
-        # threaded paths
+    def test_endpoints_pinned(self, n, seed, lower, upper):
+        # frozen endpoints, bit for bit
         values = beta_sample(n, 8.0, 2.0, seed=seed)
-        ci = bootstrap_ci(values, seed=seed, n_resamples=1_000, workers=workers)
+        ci = bootstrap_ci(values, seed=seed, n_resamples=1_000)
         assert (ci.lower.hex(), ci.upper.hex()) == (lower, upper)
 
     def test_agreement_with_parametric(self):

@@ -18,6 +18,7 @@ from segci import (
 from segci.cli import bundled_demo_corpus_path
 from segci.io import CORPUS_HEADER
 from segci.rng import gamma_variate, substream, substreams
+from test_imports import run_fresh
 
 
 class TestSampleBeta:
@@ -173,10 +174,31 @@ class TestParseFamily:
     def test_constant(self):
         assert parse_family("constant:0.8") == ConstantFamily(0.8)
 
-    @pytest.mark.parametrize("text", ["beta:8", "normal:0,1", "constant:", "beta:a,b"])
+    @pytest.mark.parametrize("text", [
+        "beta:8", "normal:0,1", "constant:", "beta:a,b", "beta:inf,2", "beta:2,inf", "beta:nan,2",
+    ])
     def test_invalid(self, text):
         with pytest.raises(ValueError):
             parse_family(text)
+
+
+@pytest.mark.parametrize("call", [
+    "gamma_variate(math.inf, substream(1, 5, 0))",
+    "sample_beta(math.inf, 2.0, substream(1, 5, 0))",
+    "sample_beta(2.0, math.inf, substream(1, 5, 0))",
+], ids=["gamma", "beta_a", "beta_b"])
+def test_infinite_shape_refused(call):
+    # a fresh process with a timeout: an accepted infinite shape used to
+    # loop forever in the gamma sampler
+    code = (
+        "import math\n"
+        "from segci import sample_beta\n"
+        "from segci.rng import gamma_variate, substream\n"
+        f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n"
+    )
+    proc = run_fresh("-c", code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "finite" in proc.stdout
 
 
 class TestDemoCorpus:
