@@ -9,6 +9,7 @@ error, 2 data error (unreadable or malformed input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -51,7 +52,7 @@ def _round6(value):
 
 
 def _dump_json(doc: dict, path: "str | Path | None") -> str:
-    text = json.dumps(_round6(doc), indent=2) + "\n"
+    text = json.dumps(_round6(doc), indent=2, allow_nan=False) + "\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
@@ -79,12 +80,15 @@ def _add_sd_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Without allow_abbrev=False argparse reads a flag prefix such as
+    # `--se` as whichever flag it abbreviates (`--seed`).
+    make_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = make_parser(
         prog="segci",
         description="Reconstruct confidence intervals for segmentation performance "
         "from aggregate published results.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make_parser)
 
     p_fit = sub.add_parser("fit", help="fit the mean-to-SD model on per-case or pairs CSV")
     p_fit.add_argument("--input", required=True, help="per-case or training-pairs CSV")

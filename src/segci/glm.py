@@ -222,7 +222,7 @@ def save_model(fit: GlmFit, path: "str | Path") -> None:
         "n_obs": fit.n_obs,
         "converged": fit.converged,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _model_from_doc(doc: dict) -> GlmFit:

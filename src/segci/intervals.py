@@ -36,6 +36,8 @@ PARAMETRIC_T = "parametric_t"
 BOOTSTRAP_PERCENTILE = "bootstrap_percentile"
 
 MIN_BOOTSTRAP_RESAMPLES = 100
+# Draws per block of resamples: each block buffer holds 256 KB.
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -145,18 +147,25 @@ def bootstrap_ci(
     (seed, resample index), so the result is bit-identical for a given
     seed regardless of the order the resamples are drawn in. The sample is
     sorted first, making the result a function of the multiset of
-    values rather than their ordering.
+    values rather than their ordering. Each resample mean is the correctly
+    rounded sum of its draws, computed exactly, divided by n, so blocking
+    and summation order never change a bit.
+
+    Non-finite values are refused, as is a sample whose resample sums
+    overflow the float range.
     """
     # numpy and the random streams load here, so the aggregate path
     # (parametric_ci and approximate_sd) runs without them.
     import numpy as np
 
     from .descriptive import interpolated_quantile
-    from .rng import DOMAIN_BOOTSTRAP, substreams
 
     arr = np.sort(np.asarray(values, dtype=float))
     if arr.size == 0:
         raise ValueError("bootstrap_ci needs a non-empty sample")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"bootstrap_ci needs finite values, got {arr[~finite][0]}")
     if n_resamples < MIN_BOOTSTRAP_RESAMPLES:
         raise ValueError(
             f"n_resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}, got {n_resamples}"
@@ -167,17 +176,66 @@ def bootstrap_ci(
         # constant sample: every resample mean equals the shared value
         return ConfidenceInterval(float(arr[0]), float(arr[0]), alpha, BOOTSTRAP_PERCENTILE)
 
-    streams = substreams(seed, DOMAIN_BOOTSTRAP)
-    means = np.empty(n_resamples)
-    for r in range(n_resamples):
-        idx = streams(r).integers(0, arr.size, size=arr.size)
-        # compensated sum: a resample of a constant sample keeps the exact mean
-        means[r] = math.fsum(arr[idx]) / arr.size
-
+    try:
+        means = _resample_means(arr, n_resamples, seed)
+    except OverflowError:
+        raise ValueError("bootstrap_ci: a resample sum overflows the float range") from None
     means.sort()
     lower = interpolated_quantile(means, alpha / 2.0)
     upper = interpolated_quantile(means, 1.0 - alpha / 2.0)
     return ConfidenceInterval(lower, upper, alpha, BOOTSTRAP_PERCENTILE)
+
+
+def _resample_means(arr, n_resamples: int, seed: int):
+    """Mean of each bootstrap resample of the finite sample ``arr``, by index.
+
+    Resample r draws ``substream(seed, DOMAIN_BOOTSTRAP, r).integers(0, n,
+    size=n)`` and its mean is ``math.fsum(arr[idx]) / n``, bit for bit.
+    The sum is computed exactly over blocks of resamples: every value is
+    an integer times 2^-k, split into signed limbs of ``bits`` bits held
+    as float64 columns. A column summed over n draws stays below
+    n * 2^bits < 2^52 in magnitude, so numpy adds it exactly in any
+    order, and fsum of the scaled limb sums rounds the exact total once.
+    Raises OverflowError when a resample sum leaves the float range.
+    """
+    import numpy as np
+
+    from .rng import DOMAIN_BOOTSTRAP, substreams
+
+    n = arr.size
+    # v = num / 2^d exactly; k is the largest d, so every v * 2^k is an integer
+    ratios = [v.as_integer_ratio() for v in arr.tolist()]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    scaled = [num << (k + 1 - den.bit_length()) for num, den in ratios]
+    bits = 52 - n.bit_length()
+    width = max(abs(i) for i in scaled).bit_length()
+    shifts = range(0, max(1, -(-width // bits)) * bits, bits)
+    mask = (1 << bits) - 1
+    columns = np.array(
+        [[(abs(i) >> shift & mask) * (1 if i >= 0 else -1) for i in scaled] for shift in shifts],
+        dtype=float,
+    )
+    exponents = [shift - k for shift in shifts]
+
+    block = max(1, _BLOCK_ELEMENTS // n)
+    idx = np.empty((block, n), dtype=np.int64)
+    drawn = np.empty((block, n))
+    sums = np.empty((block, len(shifts)))
+    means = np.empty(n_resamples)
+    streams = substreams(seed, DOMAIN_BOOTSTRAP)
+    for start in range(0, n_resamples, block):
+        rows = min(block, n_resamples - start)
+        for j in range(rows):
+            idx[j] = streams(start + j).integers(0, n, size=n)
+        for limb, column in enumerate(columns):
+            # the draws are in range; "clip" skips the copy of out that "raise" makes
+            column.take(idx[:rows], out=drawn[:rows], mode="clip")
+            drawn[:rows].sum(axis=1, out=sums[:rows, limb])
+        means[start:start + rows] = [
+            math.fsum(map(math.ldexp, row, exponents)) for row in sums[:rows].tolist()
+        ]
+    means /= n
+    return means
 
 
 def compare_cis(a: ConfidenceInterval, b: ConfidenceInterval) -> CiComparison:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from segci.cli import bundled_demo_corpus_path, main
+from segci.cli import _dump_json, bundled_demo_corpus_path, main
 from test_imports import run_fresh
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
@@ -101,6 +101,22 @@ class TestFlags:
         code, _, err = run(capsys, *base_argv[command], flag, value)
         assert code == 1
         assert flag in err
+
+    @pytest.mark.parametrize("command, prefix, full", [
+        ("simulate", ["--se", "5"], ["--seed", "5"]),
+        ("ci", ["--for"], ["--force-model-sd"]),
+    ], ids=["simulate--se", "ci--for"])
+    def test_flag_prefix_is_usage_error(self, capsys, base_argv, command, prefix, full):
+        # a prefix is not read as the flag it abbreviates
+        code, _, err = run(capsys, *base_argv[command], *prefix)
+        assert code == 1
+        assert "unrecognized arguments" in err
+        assert run(capsys, *base_argv[command], *full)[0] == 0
+
+
+def test_dump_json_refuses_nan():
+    with pytest.raises(ValueError):
+        _dump_json({"x": float("nan")}, None)
 
 
 class TestModelFlag:

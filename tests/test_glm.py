@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -172,6 +173,13 @@ class TestModelFiles:
         doc = json.loads(path.read_text())
         assert set(doc) == {"coefficients", "dispersion", "scale", "n_obs", "converged"}
         assert doc["scale"] == "percent"
+
+    def test_save_refuses_nan(self, tmp_path):
+        fit = fit_gamma_log_glm(exact_fit_pairs())
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError):
+            save_model(dataclasses.replace(fit, dispersion=math.nan), path)
+        assert not path.exists()
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "model.json"

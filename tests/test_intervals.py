@@ -1,6 +1,10 @@
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mc_fixtures import beta_sample
 from segci import (
@@ -12,6 +16,8 @@ from segci import (
     paper_model,
     parametric_ci,
 )
+from segci.intervals import _resample_means
+from segci.rng import DOMAIN_BOOTSTRAP, substream
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
 
@@ -169,6 +175,52 @@ class TestBootstrapCi:
             bootstrap_ci([], seed=1)
         with pytest.raises(ValueError):
             bootstrap_ci([0.5, 0.6], n_resamples=50, seed=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bootstrap_ci([0.5, bad, 0.7], seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            bootstrap_ci([bad, bad], seed=1)
+
+    def test_rejects_overflowing_resample_sums(self):
+        with pytest.raises(ValueError, match="overflow"):
+            bootstrap_ci([0.5, 1e308, 1e308, 0.7], seed=1)
+
+
+# Sample values: unit-interval scores, magnitudes across the whole float
+# range (small enough that no resample sum of up to 3000 draws overflows),
+# and the zeros, subnormals and extremes of the format.
+_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -0.5, 1e300]),
+)
+
+
+def _fsum_means(arr, n_resamples, seed):
+    n = arr.size
+    return [
+        math.fsum(arr[substream(seed, DOMAIN_BOOTSTRAP, r).integers(0, n, size=n)]) / n
+        for r in range(n_resamples)
+    ]
+
+
+class TestResampleMeans:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(_VALUES, min_size=1, max_size=8),
+        n=st.integers(2, 3000),
+        n_resamples=st.integers(1, 150),
+        seed=st.integers(0, 2**32),
+    )
+    @example(pool=[0.25, 0.75], n=2000, n_resamples=100, seed=0)  # full blocks, then a partial one
+    @example(pool=[5e-324, -0.0, 0.0, 1e300, -1e-300], n=3000, n_resamples=45, seed=1)
+    def test_bit_identical_to_fsum_per_resample(self, pool, n, n_resamples, seed):
+        arr = np.sort(np.array(random.Random(seed).choices(pool, k=n)))
+        got = _resample_means(arr, n_resamples, seed)
+        want = _fsum_means(arr, n_resamples, seed)
+        assert [m.hex() for m in got.tolist()] == [m.hex() for m in want]
 
 
 class TestCompareCis:
