@@ -326,7 +326,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except (sio.DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:  # UsageError included
+    except (ValueError, ArithmeticError) as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

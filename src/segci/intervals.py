@@ -173,14 +173,18 @@ def bootstrap_ci(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if arr[0] == arr[-1]:
-        # constant sample: every resample mean equals the shared value
-        return ConfidenceInterval(float(arr[0]), float(arr[0]), alpha, BOOTSTRAP_PERCENTILE)
+        # constant sample: every resample mean equals the shared value. The
+        # sort keeps 0.0 and -0.0 in input order, so the sign is read from
+        # the whole sample: -0.0 only when every value is -0.0.
+        value = float(arr[0])
+        if value == 0.0 and not np.signbit(arr).all():
+            value = 0.0
+        return ConfidenceInterval(value, value, alpha, BOOTSTRAP_PERCENTILE)
 
     try:
         means = _resample_means(arr, n_resamples, seed)
     except OverflowError:
         raise ValueError("bootstrap_ci: a resample sum overflows the float range") from None
-    means.sort()
     lower = interpolated_quantile(means, alpha / 2.0)
     upper = interpolated_quantile(means, 1.0 - alpha / 2.0)
     return ConfidenceInterval(lower, upper, alpha, BOOTSTRAP_PERCENTILE)
@@ -191,6 +195,10 @@ def _resample_means(arr, n_resamples: int, seed: int):
 
     Resample r draws ``substream(seed, DOMAIN_BOOTSTRAP, r).integers(0, n,
     size=n)`` and its mean is ``math.fsum(arr[idx]) / n``, bit for bit.
+    The indices come from each stream's raw 64-bit words through Lemire's
+    map, a block at a time, bit-identical to ``Generator.integers``; a
+    resample with a draw that map rejects is redrawn with ``integers``
+    (see :func:`_resample_indices`).
     The sum is computed exactly over blocks of resamples: every value is
     an integer times 2^-k, split into signed limbs of ``bits`` bits held
     as float64 columns. A column summed over n draws stays below
@@ -219,14 +227,14 @@ def _resample_means(arr, n_resamples: int, seed: int):
 
     block = max(1, _BLOCK_ELEMENTS // n)
     idx = np.empty((block, n), dtype=np.int64)
+    raw = np.empty((block, (n + 1) // 2), dtype=np.uint64)
     drawn = np.empty((block, n))
     sums = np.empty((block, len(shifts)))
     means = np.empty(n_resamples)
     streams = substreams(seed, DOMAIN_BOOTSTRAP)
     for start in range(0, n_resamples, block):
         rows = min(block, n_resamples - start)
-        for j in range(rows):
-            idx[j] = streams(start + j).integers(0, n, size=n)
+        _resample_indices(streams, start, idx[:rows], raw[:rows])
         for limb, column in enumerate(columns):
             # the draws are in range; "clip" skips the copy of out that "raise" makes
             column.take(idx[:rows], out=drawn[:rows], mode="clip")
@@ -236,6 +244,39 @@ def _resample_means(arr, n_resamples: int, seed: int):
         ]
     means /= n
     return means
+
+
+def _resample_indices(streams, start: int, out, raw) -> int:
+    """Fill row j of ``out`` with the draws of resample ``start + j``.
+
+    Row j equals ``streams(start + j).integers(0, n, size=n)`` bit for
+    bit, where n is the row length. Each resample's stream writes its
+    (n + 1) // 2 raw 64-bit words into its row of ``raw``; every word
+    splits into two 32-bit draws u, low half first, as numpy's
+    ``next_uint32`` takes them, and Lemire's map (u * n) >> 32 turns the
+    whole block into indices at once. numpy rejects a draw whose
+    (u * n) mod 2^32 falls below 2^32 mod n and draws again, so a
+    resample with such a draw is redrawn whole with ``integers``.
+    Returns the number of resamples redrawn.
+    """
+    import numpy as np
+
+    rows, n = out.shape
+    if n > 2**32:
+        # numpy maps a range this wide from 64-bit draws instead
+        raise ValueError(f"resampling needs n <= 2**32, got {n}")
+    words = raw.shape[1]
+    for j in range(rows):
+        raw[j] = streams(start + j).bit_generator.random_raw(words)
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, :n]
+    scaled = out.view(np.uint64)
+    np.multiply(halves, np.uint64(n), out=scaled)
+    # the low 32 bits of u * n against numpy's threshold, never hit for a power of two
+    rejected = np.flatnonzero((scaled.astype(np.uint32) < 2**32 % n).any(axis=1)).tolist()
+    np.right_shift(scaled, 32, out=scaled)
+    for j in rejected:
+        out[j] = streams(start + j).integers(0, n, size=n)
+    return len(rejected)
 
 
 def compare_cis(a: ConfidenceInterval, b: ConfidenceInterval) -> CiComparison:

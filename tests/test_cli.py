@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from segci import cli
 from segci.cli import _dump_json, bundled_demo_corpus_path, main
 from test_imports import run_fresh
 
@@ -221,6 +222,24 @@ class TestCi:
         assert code == 1
         assert out == ""
         assert flag in err
+
+    def test_non_converging_quantile_is_error(self, capsys):
+        # t_quantile runs out of its step budget at df = 1e9; main reports
+        # the ArithmeticError as an error line, not a traceback.
+        code, out, err = run(capsys, "ci", "--mean", "0.9", "--n", "1000000001", "--sd", "0.1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: t quantile did not converge")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [ArithmeticError, OverflowError, ZeroDivisionError])
+    def test_arithmetic_error_is_exit_1(self, capsys, monkeypatch, exc):
+        def fail(args):
+            raise exc("no number")
+
+        monkeypatch.setitem(cli._COMMANDS, "ci", fail)
+        code, out, err = run(capsys, "ci", "--mean", "0.9", "--n", "100")
+        assert (code, out, err) == (1, "", "error: no number\n")
 
 
 class TestFit:

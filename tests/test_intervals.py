@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -16,8 +17,8 @@ from segci import (
     paper_model,
     parametric_ci,
 )
-from segci.intervals import _resample_means
-from segci.rng import DOMAIN_BOOTSTRAP, substream
+from segci.intervals import _resample_indices, _resample_means
+from segci.rng import DOMAIN_BOOTSTRAP, substream, substreams
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
 
@@ -130,6 +131,20 @@ class TestBootstrapCi:
         assert ci.lower == ci.upper == 0.8
         assert ci.method == "bootstrap_percentile"
 
+    @pytest.mark.parametrize("sample", [
+        [0.0, -0.0],
+        [0.0, -0.0, -0.0],
+        [0.0, 0.0, -0.0, -0.0],
+        [-0.0, -0.0, -0.0],
+    ])
+    def test_signed_zero_constant_sample(self, sample):
+        # The result depends on the multiset only: -0.0 only when every
+        # value is -0.0, whatever the input order.
+        want = (-0.0).hex() if all(math.copysign(1.0, v) < 0 for v in sample) else (0.0).hex()
+        for perm in itertools.permutations(sample):
+            ci = bootstrap_ci(list(perm), seed=5, n_resamples=100)
+            assert (ci.lower.hex(), ci.upper.hex()) == (want, want)
+
     def test_two_values(self):
         ci = bootstrap_ci([0.0, 1.0], seed=9, n_resamples=10_000)
         assert 0.0 <= ci.lower <= 0.5 <= ci.upper <= 1.0
@@ -221,6 +236,75 @@ class TestResampleMeans:
         got = _resample_means(arr, n_resamples, seed)
         want = _fsum_means(arr, n_resamples, seed)
         assert [m.hex() for m in got.tolist()] == [m.hex() for m in want]
+
+
+def _integers_rows(seed, start, rows, n):
+    return np.array([
+        substream(seed, DOMAIN_BOOTSTRAP, r).integers(0, n, size=n)
+        for r in range(start, start + rows)
+    ])
+
+
+def _buffers(rows, n):
+    return np.empty((rows, n), dtype=np.int64), np.empty((rows, (n + 1) // 2), dtype=np.uint64)
+
+
+class TestResampleIndices:
+    @pytest.mark.parametrize("n, rows", [
+        (2, 40), (3, 40), (5, 40), (7, 40), (97, 30), (1999, 12), (2000, 12), (3001, 10),
+        (4, 20), (64, 20), (1024, 10), (2048, 10),
+        (2**20 + 7, 2), (1000003, 2),
+    ])
+    def test_equals_integers(self, n, rows):
+        idx, raw = _buffers(rows, n)
+        redrawn = _resample_indices(substreams(11, DOMAIN_BOOTSTRAP), 5, idx, raw)
+        assert np.array_equal(idx, _integers_rows(11, 5, rows, n))
+        if n & (n - 1) == 0:
+            # 2^32 mod n == 0 for a power of two: no draw can be rejected
+            assert redrawn == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 2000])
+    def test_partial_blocks(self, n):
+        # blocks as _resample_means cuts them: full ones, then a partial
+        # one written into the front rows of the same buffers
+        block, n_resamples = 7, 25
+        idx, raw = _buffers(block, n)
+        streams = substreams(4, DOMAIN_BOOTSTRAP)
+        got = []
+        for start in range(0, n_resamples, block):
+            rows = min(block, n_resamples - start)
+            _resample_indices(streams, start, idx[:rows], raw[:rows])
+            got.extend(idx[:rows].copy())
+        assert np.array_equal(np.array(got), _integers_rows(4, 0, n_resamples, n))
+
+    def test_rejected_draw_redraws_resample(self):
+        # (seed 0, n 3000, resample 79) is pinned because numpy's Lemire map
+        # rejects its 1726th draw: (u * n) mod 2^32 < 2^32 mod n.
+        seed, n, r = 0, 3000, 79
+        words = substream(seed, DOMAIN_BOOTSTRAP, r).bit_generator.random_raw((n + 1) // 2)
+        draws = [int(w) >> shift & 0xFFFFFFFF for w in words.tolist() for shift in (0, 32)][:n]
+        assert [i for i, u in enumerate(draws) if u * n % 2**32 < 2**32 % n] == [1725]
+
+        idx, raw = _buffers(10, n)
+        redrawn = _resample_indices(substreams(seed, DOMAIN_BOOTSTRAP), 75, idx, raw)
+        assert redrawn == 1
+        assert np.array_equal(idx, _integers_rows(seed, 75, 10, n))
+        # without the redraw the row would be the plain map of its words
+        assert idx[r - 75].tolist() != [u * n >> 32 for u in draws]
+
+    def test_resample_means_with_rejected_draw(self):
+        # resamples 0-99 of seed 0 at n = 3000 include the redrawn resample 79
+        arr = np.sort(beta_sample(3000, 8.0, 2.0, seed=1))
+        got = _resample_means(arr, 100, 0)
+        assert [m.hex() for m in got.tolist()] == [m.hex() for m in _fsum_means(arr, 100, 0)]
+
+    def test_refuses_n_above_2_32(self):
+        # views of one element: nothing of this size is allocated
+        n = 2**32 + 1
+        idx = np.broadcast_to(np.zeros(1, dtype=np.int64), (1, n))
+        raw = np.broadcast_to(np.zeros(1, dtype=np.uint64), (1, (n + 1) // 2))
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            _resample_indices(substreams(0, DOMAIN_BOOTSTRAP), 0, idx, raw)
 
 
 class TestCompareCis:
