@@ -10,7 +10,6 @@ reading of "difference" may be wanted.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -164,9 +163,8 @@ def export_calibration_points(records: Sequence[CalibrationRecord]) -> Calibrati
 
 def write_calibration_csv(records: Sequence[CalibrationRecord], path: "str | Path") -> None:
     """Write calibration points as CSV (6 decimal places)."""
-    table = export_calibration_points(records)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["predicted_width", "observed_width", "n"])
-        for predicted, observed, n in table.rows:
-            writer.writerow([f"{predicted:.6f}", f"{observed:.6f}", n])
+        fh.write("predicted_width,observed_width,n\n")
+        fh.writelines(
+            f"{r.predicted_width:.6f},{r.observed_width:.6f},{r.n}\n" for r in records
+        )

@@ -16,12 +16,11 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-# Only the modules of the aggregate path load here; the handlers that
-# need numpy (calibrate, analyze, fit, simulate) import their modules
-# themselves, so `segci ci` runs without numpy.
+# Each handler imports the modules it needs, so a command loads only
+# its own layers: `segci ci`, `calibrate` and `analyze` run without
+# numpy, and `simulate` and `fit` without the special functions.
 from . import glm
 from . import io as sio
-from .intervals import AggregateReport, approximate_sd, parametric_ci
 
 __all__ = ["main", "build_parser", "bundled_demo_corpus_path"]
 
@@ -167,6 +166,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_ci(args) -> int:
+    from .intervals import AggregateReport, approximate_sd, parametric_ci
+
     _check_alpha(args.alpha)
     if not 0.0 <= args.mean <= 1.0:
         raise UsageError(f"--mean must lie in [0, 1], got {args.mean}")

@@ -185,6 +185,8 @@ def bootstrap_ci(
         means = _resample_means(arr, n_resamples, seed)
     except OverflowError:
         raise ValueError("bootstrap_ci: a resample sum overflows the float range") from None
+    # sorted once here: interpolated_quantile re-sorts sorted input in linear time
+    means = np.sort(means).tolist()
     lower = interpolated_quantile(means, alpha / 2.0)
     upper = interpolated_quantile(means, 1.0 - alpha / 2.0)
     return ConfidenceInterval(lower, upper, alpha, BOOTSTRAP_PERCENTILE)

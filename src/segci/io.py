@@ -14,8 +14,10 @@ All numeric fields use a dot decimal separator; floats are written with
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from pathlib import Path
+from sys import intern
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .glm import TrainingPair
@@ -58,30 +60,41 @@ class DataFormatError(Exception):
         super().__init__(where + message)
 
 
+def _data_rows(fh, path: "str | Path", expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each row after the header, which is checked."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError("file is empty, expected a header row", path, 1) from None
+    if [h.strip() for h in header] != expected_header:
+        raise DataFormatError(
+            f"unexpected header {header!r}, expected {expected_header!r}", path, 1
+        )
+    return enumerate(reader, start=2)
+
+
+def _is_data(row: list[str], width: int, path, line_no: int) -> bool:
+    """False for a blank row; raises for a row without ``width`` fields."""
+    if not "".join(row).strip():
+        return False
+    if len(row) != width:
+        raise DataFormatError(f"expected {width} fields, found {len(row)}", path, line_no)
+    return True
+
+
 def _read_rows(path: "str | Path", expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each non-blank data row, checking shape."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("file is empty, expected a header row", path, 1) from None
-        if [h.strip() for h in header] != expected_header:
-            raise DataFormatError(
-                f"unexpected header {header!r}, expected {expected_header!r}", path, 1
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(expected_header):
-                raise DataFormatError(
-                    f"expected {len(expected_header)} fields, found {len(row)}", path, line_no
-                )
-            yield line_no, row
+        for line_no, row in _data_rows(fh, path, expected_header):
+            if _is_data(row, len(expected_header), path, line_no):
+                yield line_no, row
 
 
 def _parse_float(cell: str, name: str, path, line_no: int) -> float:
     try:
+        if "_" in cell:
+            raise ValueError  # float() reads "1_0" as 10
         value = float(cell)
     except ValueError:
         raise DataFormatError(f"field {name!r} is not a number: {cell!r}", path, line_no) from None
@@ -92,6 +105,8 @@ def _parse_float(cell: str, name: str, path, line_no: int) -> float:
 
 def _parse_int(cell: str, name: str, path, line_no: int) -> int:
     try:
+        if "_" in cell:
+            raise ValueError  # int() reads "1_0" as 10
         return int(cell)
     except ValueError:
         raise DataFormatError(f"field {name!r} is not an integer: {cell!r}", path, line_no) from None
@@ -117,25 +132,57 @@ def detect_training_format(path: "str | Path") -> str:
 
 
 def read_per_case_csv(path: "str | Path") -> list[CaseResult]:
-    from .simulate import CaseResult  # loads numpy, which the aggregate path avoids
+    # simulate loads numpy, which the readers of the other formats avoid
+    from .simulate import CaseResult
 
+    new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
     out = []
-    for line_no, (task_id, method_id, case_id, dsc) in _read_rows(path, PER_CASE_HEADER):
-        value = _parse_float(dsc, "dsc", path, line_no)
-        if not 0.0 <= value <= 1.0:
-            raise DataFormatError(f"dsc must lie in [0, 1], got {value}", path, line_no)
-        out.append(CaseResult(task_id.strip(), method_id.strip(), case_id.strip(), value))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line_no, row in _data_rows(fh, path, PER_CASE_HEADER):
+            try:
+                task_id, method_id, case_id, cell = row
+                dsc = float(cell)
+                valid = 0.0 <= dsc <= 1.0 and "_" not in cell
+            except ValueError:
+                valid = False
+            if not valid:
+                # a blank row is skipped; any other is refused by the shared checks
+                if not _is_data(row, len(PER_CASE_HEADER), path, line_no):
+                    continue
+                dsc = _parse_float(row[3], "dsc", path, line_no)
+                raise DataFormatError(f"dsc must lie in [0, 1], got {dsc}", path, line_no)
+            # interned: a file repeats each id many times, and its rows share one copy
+            out.append(new_row(CaseResult, (
+                intern(task_id.strip()), intern(method_id.strip()), intern(case_id.strip()), dsc,
+            )))
     if not out:
         raise DataFormatError("no data rows", path)
     return out
 
 
+class _Echo:
+    """A file for ``csv.writer`` whose ``write`` returns the line it is given."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
 def write_per_case_csv(rows: Sequence[CaseResult], path: "str | Path") -> None:
+    """Write per-case rows; the bytes are those ``csv.writer`` writes.
+
+    ``csv.writer`` formats each distinct id once, quoting it where it
+    needs quotes, and every row is then one f-string.
+    """
+    csv_line = csv.writer(_Echo, lineterminator="\n").writerow
+    # the empty second field keeps an empty id unquoted, as inside a row
+    field = functools.cache(lambda text: csv_line([text, ""])[:-2])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PER_CASE_HEADER)
-        for row in rows:
-            writer.writerow([row.task_id, row.method_id, row.case_id, f"{row.dsc:.6f}"])
+        fh.write(csv_line(PER_CASE_HEADER))
+        fh.writelines(
+            f"{field(task_id)},{field(method_id)},{field(case_id)},{dsc:.6f}\n"
+            for task_id, method_id, case_id, dsc in rows
+        )
 
 
 def read_pairs_csv(path: "str | Path") -> list[TrainingPair]:
@@ -156,7 +203,8 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
     Papers keep their order of first appearance; each paper's rows must
     agree on test_n.
     """
-    from .corpus import MethodResult, PaperRecord  # loads numpy, as above
+    # corpus loads intervals and special, which simulate and fit do not need
+    from .corpus import MethodResult, PaperRecord
 
     rows = list(_read_rows(path, CORPUS_HEADER))
     if not rows:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["substream", "substreams", "gamma_variate"]
+__all__ = ["substream", "substreams", "gamma_sampler", "gamma_variate"]
 
 _U64_MASK = (1 << 64) - 1
 
@@ -64,7 +64,8 @@ def substreams(seed: int, domain: int) -> Callable[..., np.random.Generator]:
     """
     rng = substream(seed, domain)
     bitgen = rng.bit_generator
-    inner = bitgen.state["state"]
+    # Plain ints: the state setter reads them faster than numpy's uint64 arrays.
+    inner = {"counter": [0, 0, 0, 0], "key": bitgen.state["state"]["key"].tolist()}
     # Nothing buffered, as in a freshly built stream. Setting the state
     # copies this dict into the bit generator, so it never changes here.
     state = {
@@ -84,24 +85,43 @@ def substreams(seed: int, domain: int) -> Callable[..., np.random.Generator]:
     return at
 
 
-def gamma_variate(shape: float, rng: np.random.Generator) -> float:
-    """One Gamma(shape, 1) draw via the Marsaglia-Tsang squeeze method.
+def gamma_sampler(shape: float, rng: np.random.Generator) -> Callable[[], float]:
+    """Zero-argument sampler of Gamma(shape, 1) draws from ``rng``.
 
-    Shapes below 1 are boosted to shape+1 and corrected with a uniform
-    power factor.
+    Marsaglia-Tsang squeeze method; shapes below 1 are boosted to
+    shape+1 and corrected with a uniform power factor, whose uniform is
+    drawn first. The constants are computed once here and ``rng``'s
+    draw methods are bound, so each call costs only the loop. The
+    sampler reads whatever state ``rng`` holds at the call, which makes
+    it reusable across the resets of one :func:`substreams` generator.
     """
     if not 0.0 < shape < math.inf:
         raise ValueError(f"gamma shape must be positive and finite, got {shape}")
-    if shape < 1.0:
-        u = rng.random()
-        return gamma_variate(shape + 1.0, rng) * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
+    normal, uniform, log = rng.standard_normal, rng.random, math.log
+    d = (shape if shape >= 1.0 else shape + 1.0) - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x = rng.standard_normal()
-        v = (1.0 + c * x) ** 3
-        if v <= 0.0:
-            continue
-        u = rng.random()
-        if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
-            return d * v
+
+    def draw() -> float:
+        while True:
+            x = normal()
+            v = (1.0 + c * x) ** 3
+            if v <= 0.0:
+                continue
+            u = uniform()
+            if log(u) < 0.5 * x * x + d - d * v + d * log(v):
+                return d * v
+
+    if shape >= 1.0:
+        return draw
+    exponent = 1.0 / shape
+
+    def boosted() -> float:
+        u = uniform()
+        return draw() * u**exponent
+
+    return boosted
+
+
+def gamma_variate(shape: float, rng: np.random.Generator) -> float:
+    """One Gamma(shape, 1) draw; see :func:`gamma_sampler`."""
+    return gamma_sampler(shape, rng)()

@@ -11,15 +11,17 @@ platforms and any evaluation order.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .descriptive import summarize
 from .glm import TrainingPair
-from .rng import DOMAIN_CASES, DOMAIN_DEMO_CORPUS, gamma_variate, substreams
-from .corpus import MethodResult, PaperRecord
+from .rng import DOMAIN_CASES, DOMAIN_DEMO_CORPUS, gamma_sampler, substreams
+
+if TYPE_CHECKING:
+    from .corpus import PaperRecord
 
 __all__ = [
     "BetaFamily",
@@ -39,9 +41,18 @@ def sample_beta(a: float, b: float, rng: np.random.Generator) -> float:
     """One Beta(a, b) draw as the ratio X / (X + Y) of two Gamma variates."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
-    x = gamma_variate(a, rng)
-    y = gamma_variate(b, rng)
-    return x / (x + y)
+    return _beta_sampler(a, b, rng)()
+
+
+def _beta_sampler(a: float, b: float, rng: np.random.Generator) -> Callable[[], float]:
+    gamma_a = gamma_sampler(a, rng)
+    gamma_b = gamma_sampler(b, rng)
+
+    def draw() -> float:
+        x = gamma_a()
+        return x / (x + gamma_b())
+
+    return draw
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,10 @@ class BetaFamily:
     def __post_init__(self) -> None:
         if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
             raise ValueError(f"beta parameters must be positive and finite, got ({self.a}, {self.b})")
+
+    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
+        """Zero-argument draw from ``rng``'s current state; see :func:`gamma_sampler`."""
+        return _beta_sampler(self.a, self.b, rng)
 
     def draw(self, rng: np.random.Generator) -> float:
         return sample_beta(self.a, self.b, rng)
@@ -68,6 +83,9 @@ class ConstantFamily:
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"constant DSC must lie in [0, 1], got {self.value}")
+
+    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
+        return lambda: self.value
 
     def draw(self, rng: np.random.Generator) -> float:
         return self.value
@@ -117,24 +135,27 @@ class CaseResult(NamedTuple):
 
 
 def generate_results(spec: SimSpec) -> list[CaseResult]:
-    """Per-case DSC table, fully determined by the spec."""
+    """Per-case DSC table, fully determined by the spec.
+
+    Case c of method m on task t draws ``spec.family.draw(streams(t, m, c))``
+    from one :func:`~segci.rng.substreams` generator; the family's sampler
+    is built once, since every reset returns that same generator.
+    """
     excluded = set(spec.exclude)
     streams = substreams(spec.seed, DOMAIN_CASES)
+    draw = spec.family.sampler(streams())
+    new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
+    case_ids = [f"case{c + 1:05d}" for c in range(spec.cases_per_task)]
     rows: list[CaseResult] = []
     for t in range(spec.n_tasks):
+        task_id = f"task{t + 1:02d}"
         for m in range(spec.methods_per_task):
             if (t, m) in excluded:
                 continue
-            for c in range(spec.cases_per_task):
-                rng = streams(t, m, c)
-                rows.append(
-                    CaseResult(
-                        task_id=f"task{t + 1:02d}",
-                        method_id=f"method{m + 1:02d}",
-                        case_id=f"case{c + 1:05d}",
-                        dsc=spec.family.draw(rng),
-                    )
-                )
+            method_id = f"method{m + 1:02d}"
+            for c, case_id in enumerate(case_ids):
+                streams(t, m, c)
+                rows.append(new_row(CaseResult, (task_id, method_id, case_id, draw())))
     return rows
 
 
@@ -156,9 +177,9 @@ def make_training_pairs(rows: Sequence[CaseResult]) -> PairsResult:
     groups with zero SD are dropped because the Gamma response must be
     strictly positive. Both kinds are counted in the result.
     """
-    groups: dict[tuple[str, str], list[float]] = {}
-    for row in rows:
-        groups.setdefault((row.task_id, row.method_id), []).append(row.dsc)
+    groups: defaultdict[tuple[str, str], list[float]] = defaultdict(list)
+    for task_id, method_id, _, dsc in rows:
+        groups[task_id, method_id].append(dsc)
 
     pairs: list[TrainingPair] = []
     dropped = 0
@@ -167,11 +188,18 @@ def make_training_pairs(rows: Sequence[CaseResult]) -> PairsResult:
         if len(values) < 2:
             skipped += 1
             continue
-        stats = summarize(values)
-        if stats.sd == 0.0:
+        # the mean and SD of :func:`~segci.descriptive.summarize`, bit for bit:
+        # exactly 0 for a constant group, whatever the summation noise
+        n = len(values)
+        mean = math.fsum(values) / n
+        if min(values) == max(values):
+            sd = 0.0
+        else:
+            sd = math.sqrt(math.fsum([(v - mean) ** 2 for v in values]) / (n - 1))
+        if sd == 0.0:
             dropped += 1
             continue
-        pairs.append(TrainingPair(dsc_mean_pct=stats.mean * 100.0, sd_pct=stats.sd * 100.0))
+        pairs.append(TrainingPair(dsc_mean_pct=mean * 100.0, sd_pct=sd * 100.0))
     return PairsResult(
         pairs=tuple(pairs),
         n_groups=len(groups),
@@ -200,6 +228,9 @@ def demo_corpus() -> list[PaperRecord]:
     published-literature corpus; shipped as ``data/demo_corpus.csv`` and
     regenerated bit-identically by this function.
     """
+    # corpus loads intervals and special, which simulate and fit do not need
+    from .corpus import MethodResult, PaperRecord
+
     streams = substreams(_DEMO_SEED, DOMAIN_DEMO_CORPUS)
     papers: list[PaperRecord] = []
     for i in range(_DEMO_N_PAPERS):

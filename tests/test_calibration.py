@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -115,6 +117,19 @@ def test_csv_output(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "predicted_width,observed_width,n"
     assert lines[1] == "0.031924,0.039684,100"
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    results = [(f"t{i}", "m", n, 0.6 + 0.005 * i, 0.002 * i) for i, n in enumerate(range(2, 400, 7))]
+    records, _ = calibrate(results, MODEL, min_n=0)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["predicted_width", "observed_width", "n"])
+    for predicted, observed, n in export_calibration_points(records).rows:
+        writer.writerow([f"{predicted:.6f}", f"{observed:.6f}", n])
+    path = tmp_path / "points.csv"
+    write_calibration_csv(records, path)
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_median_diff_shrinks_with_sample_size():

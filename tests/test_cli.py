@@ -296,6 +296,17 @@ class TestFit:
         assert "line 11" in err and "finite" in err
         assert not (tmp_path / "m.json").exists()
 
+    def test_underscore_literal_pair(self, capsys, tmp_path):
+        # float("1_0") is 10: the row used to fit as a 10 % mean
+        path = tmp_path / "pairs.csv"
+        write_exact_fit_pairs(path)
+        with open(path, "a") as fh:
+            fh.write("1_0,2\n")
+        code, _, err = run(capsys, "fit", "--input", str(path), "--output", str(tmp_path / "m.json"))
+        assert code == 2
+        assert "line 11" in err and "'1_0'" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fit", "--input", str(tmp_path / "nope.csv"),
                          "--output", str(tmp_path / "m.json"))

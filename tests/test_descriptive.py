@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -89,3 +90,48 @@ def test_matches_numpy_linear_quantiles():
         assert interpolated_quantile(values, p) == pytest.approx(
             float(np.quantile(values, p)), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_summarize_refuses_non_finite(bad, position):
+    values = [0.1, 0.2, 0.3, 0.4]
+    values.insert(position, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        summarize(values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_quantile_refuses_non_finite(bad, position):
+    # numpy sorted NaN last and returned it as a plausible quantile
+    values = [0.1, 0.2, 0.3, 0.4]
+    values.insert(position, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        interpolated_quantile(values, 0.25)
+    with pytest.raises(ValueError, match="non-finite"):
+        interpolated_quantile(np.array(values), 0.5)
+
+
+def test_quantile_accepts_finite_values_whose_sum_overflows():
+    assert interpolated_quantile([1e308, -1.0, 1e308], 0.5) == 1e308
+    with pytest.raises(ValueError, match="non-finite"):
+        interpolated_quantile([1e308, math.nan, 1e308], 0.5)
+
+
+@pytest.mark.parametrize("sample", [
+    [0.0, -0.0], [0.0, -0.0, -0.0], [-0.0, 0.0, 0.5], [-0.0, -0.0, 0.0, 0.0, 1.0, -1.0],
+])
+def test_signed_zeros_independent_of_order(sample):
+    # equal keys keep their input order in a stable sort; -0.0 must still come first
+    def fields(values):
+        s = summarize(values)
+        quantiles = [interpolated_quantile(values, p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        return [v.hex() if isinstance(v, float) else v for v in (*vars(s).values(), *quantiles)]
+
+    want = fields(sample)
+    for perm in itertools.permutations(sample):
+        assert fields(list(perm)) == want
+    if min(sample) == max(sample):
+        # a constant sample's mean is the sum's: -0.0 only when every value is
+        assert summarize(sample).mean.hex() == math.fsum(sample).hex()

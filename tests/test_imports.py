@@ -1,5 +1,11 @@
-"""Import hygiene: the aggregate path (``import segci``, ``segci ci``) never loads numpy."""
+"""Import hygiene: each command loads only its own layers.
 
+``import segci``, ``segci ci``, ``calibrate`` and ``analyze`` never load
+numpy; ``simulate`` and ``fit`` never load the special functions, the
+interval and corpus layers or the descriptive statistics.
+"""
+
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import segci
+from segci.cli import bundled_demo_corpus_path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -38,6 +45,39 @@ def test_import_cli_skips_numpy():
 def test_ci_command_skips_numpy(extra):
     argv = ["ci", "--mean", "0.9", "--n", "100", *extra]
     assert_no_numpy(f"import segci.cli\nassert segci.cli.main({argv!r}) == 0")
+
+
+def loaded_after(argv: list[str], cwd) -> dict:
+    """Run ``main(argv)`` in a fresh interpreter; which modules did it load?"""
+    code = (
+        "import json, sys\nimport segci.cli\n"
+        f"code = segci.cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    proc = run_fresh("-c", code, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    return set(modules)
+
+
+def test_analyze_and_calibrate_skip_numpy(tmp_path):
+    cal = tmp_path / "cal.csv"
+    cal.write_text("task_id,method_id,n,mean_dsc,observed_sd\nt,m,100,0.9,0.1\n")
+    for argv in (
+        ["analyze", "--input", str(bundled_demo_corpus_path()), "--output", "report.json"],
+        ["calibrate", "--input", str(cal), "--summary", "s.json", "--points", "p.csv"],
+    ):
+        assert "numpy" not in loaded_after(argv, tmp_path), argv[0]
+
+
+def test_simulate_and_fit_skip_aggregate_layers(tmp_path):
+    simulate = ["simulate", "--output", "cases.csv", "--tasks", "2", "--methods", "4",
+                "--cases", "3"]
+    for argv in (simulate, ["fit", "--input", "cases.csv", "--output", "m.json"]):
+        loaded = loaded_after(argv, tmp_path)
+        for module in ("special", "intervals", "corpus", "descriptive"):
+            assert f"segci.{module}" not in loaded, (argv[0], module)
 
 
 def test_every_public_name_resolves():

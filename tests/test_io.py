@@ -1,7 +1,11 @@
+import csv
+import io
+
 import pytest
 
-from segci import SimSpec, generate_results
+from segci import CaseResult, SimSpec, generate_results
 from segci.io import (
+    PER_CASE_HEADER,
     DataFormatError,
     detect_training_format,
     read_calibration_csv,
@@ -179,3 +183,57 @@ def test_blank_rows_skipped(tmp_path):
     path = tmp_path / "pairs.csv"
     path.write_text("dsc_mean_pct,sd_pct\n\n , \n80.0,14.0\n,\n")
     assert len(read_pairs_csv(path)) == 1
+
+
+ODD_IDS = ["a,b", 'say "hi"', '"', "two\nlines", "cr\rid", "", " padded ", "tab\tid", "caf\u00e9"]
+
+
+def test_per_case_writer_matches_csv_writer(tmp_path):
+    # every odd id in every id column, next to plain ones
+    rows = [CaseResult(*ids, 0.5) for ids in zip(ODD_IDS, ODD_IDS[1:] + ODD_IDS[:1], ODD_IDS[::-1])]
+    rows += [CaseResult(task, "m", "c", 1.0 / 3.0) for task in ODD_IDS]
+    rows += generate_results(SimSpec(n_tasks=2, methods_per_task=2, cases_per_task=3, seed=8))
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(PER_CASE_HEADER)
+    for row in rows:
+        writer.writerow([row.task_id, row.method_id, row.case_id, f"{row.dsc:.6f}"])
+    path = tmp_path / "cases.csv"
+    write_per_case_csv(rows, path)
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_per_case_quoted_ids_round_trip(tmp_path):
+    rows = [CaseResult(t, "m", "c", 0.25) for t in ODD_IDS if t.strip() == t and "\r" not in t]
+    path = tmp_path / "cases.csv"
+    write_per_case_csv(rows, path)
+    assert read_per_case_csv(path) == rows
+
+
+@pytest.mark.parametrize("reader, text, line", [
+    (read_per_case_csv, "task_id,method_id,case_id,dsc\nt,m,c,0.5\nt,m,c2,0.1_5\n", 3),
+    (read_pairs_csv, "dsc_mean_pct,sd_pct\n80.0,14.0\n1_0,2\n", 3),
+    (read_pairs_csv, "dsc_mean_pct,sd_pct\n80.0,1_4.0\n", 2),
+    (read_corpus_csv, "paper_id,method_id,mean_dsc,test_n,sd\np1,a,0.9,1_00,\n", 2),
+    (read_corpus_csv, "paper_id,method_id,mean_dsc,test_n,sd\np1,a,0.9,100,0.0_5\n", 2),
+    (read_calibration_csv, "task_id,method_id,n,mean_dsc,observed_sd\nt,m,100,0.9,0.1\nt,m,1_00,0.9,0.1\n", 3),
+    (read_calibration_csv, "task_id,method_id,n,mean_dsc,observed_sd\nt,m,100,0.9_0,0.1\n", 2),
+], ids=["per_case", "pairs_mean", "pairs_sd", "corpus_n", "corpus_sd", "calibration_n",
+        "calibration_mean"])
+def test_underscore_literals_refused(tmp_path, reader, text, line):
+    # float("1_0") and int("1_00") accept the underscore and read 10 and 100
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match="not a") as info:
+        reader(path)
+    assert info.value.line == line
+
+
+def test_per_case_blank_and_malformed_rows(tmp_path):
+    path = tmp_path / "cases.csv"
+    path.write_text("task_id,method_id,case_id,dsc\n\n , , , \nt,m,c,0.5\n,\nt,m,c\n")
+    with pytest.raises(DataFormatError, match="expected 4 fields") as info:
+        read_per_case_csv(path)
+    assert info.value.line == 6
+    path.write_text("task_id,method_id,case_id,dsc\n\n , , , \n t , m ,c,0.5\n,\n")
+    assert read_per_case_csv(path) == [CaseResult("t", "m", "c", 0.5)]

@@ -1,12 +1,16 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
 from segci import (
     BetaFamily,
+    CaseResult,
     ConstantFamily,
     SimSpec,
     demo_corpus,
@@ -14,11 +18,64 @@ from segci import (
     make_training_pairs,
     parse_family,
     sample_beta,
+    summarize,
 )
 from segci.cli import bundled_demo_corpus_path
 from segci.io import CORPUS_HEADER
-from segci.rng import gamma_variate, substream, substreams
+from segci.rng import DOMAIN_CASES, gamma_sampler, gamma_variate, substream, substreams
 from test_imports import run_fresh
+
+
+def reference_gamma(shape, rng):
+    """The recursive Marsaglia-Tsang sampler that gamma_sampler replaced."""
+    if shape < 1.0:
+        u = rng.random()
+        return reference_gamma(shape + 1.0, rng) * u ** (1.0 / shape)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x = rng.standard_normal()
+        v = (1.0 + c * x) ** 3
+        if v <= 0.0:
+            continue
+        u = rng.random()
+        if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
+            return d * v
+
+
+def reference_results(spec):
+    """generate_results as a plain loop: one family.draw and one set of ids per case."""
+    streams = substreams(spec.seed, DOMAIN_CASES)
+    return [
+        CaseResult(
+            task_id=f"task{t + 1:02d}",
+            method_id=f"method{m + 1:02d}",
+            case_id=f"case{c + 1:05d}",
+            dsc=spec.family.draw(streams(t, m, c)),
+        )
+        for t in range(spec.n_tasks)
+        for m in range(spec.methods_per_task)
+        if (t, m) not in spec.exclude
+        for c in range(spec.cases_per_task)
+    ]
+
+
+def summarize_pairs(rows):
+    """make_training_pairs through summarize: (mean %, SD %) by hex, dropped, skipped."""
+    groups = {}
+    for row in rows:
+        groups.setdefault((row.task_id, row.method_id), []).append(row.dsc)
+    pairs, dropped, skipped = [], 0, 0
+    for values in groups.values():
+        if len(values) < 2:
+            skipped += 1
+            continue
+        stats = summarize(values)
+        if stats.sd == 0.0:
+            dropped += 1
+            continue
+        pairs.append(((stats.mean * 100.0).hex(), (stats.sd * 100.0).hex()))
+    return pairs, dropped, skipped
 
 
 class TestSampleBeta:
@@ -63,7 +120,59 @@ class TestSampleBeta:
         assert np.mean(draws) == pytest.approx(expected, abs=0.01)
 
 
+def draw_at(streams, i, draw):
+    streams(i)
+    return draw()
+
+
+class TestGammaSampler:
+    @pytest.mark.parametrize("shape", [0.05, 0.3, 0.5, 0.999, 1.0, 1.5, 2.5, 8.0, 40.0])
+    def test_matches_reference_sampler(self, shape):
+        streams = substreams(31, 5)
+        draw = gamma_sampler(shape, streams())
+        for i in range(300):
+            want = reference_gamma(shape, streams(i))
+            # one sampler reused across resets, and a fresh one per stream
+            assert draw_at(streams, i, draw).hex() == want.hex()
+            assert gamma_variate(shape, streams(i)).hex() == want.hex()
+
+    @pytest.mark.parametrize("shape", [0.3, 2.5])
+    def test_consumes_the_reference_draws(self, shape):
+        # the next draw after a sample shows that both took the same count
+        streams = substreams(32, 5)
+        draw = gamma_sampler(shape, streams())
+        for i in range(100):
+            rng = streams(i)
+            draw()
+            got = rng.random()
+            rng = streams(i)
+            reference_gamma(shape, rng)
+            assert got == rng.random()
+
+    @pytest.mark.parametrize("shape", [0.0, -1.0, math.inf, math.nan])
+    def test_invalid_shape(self, shape):
+        with pytest.raises(ValueError):
+            gamma_sampler(shape, substream(1, 5, 0))
+
+
 class TestGenerateResults:
+    @pytest.mark.parametrize("family", ["beta:0.5,0.7", "beta:3,0.4", "beta:8,2", "constant:0.9"])
+    def test_matches_reference_loop(self, family):
+        spec = SimSpec(n_tasks=3, methods_per_task=4, cases_per_task=25,
+                       family=parse_family(family), seed=2**40 + 7)
+        got = [(*r[:3], r.dsc.hex()) for r in generate_results(spec)]
+        assert got == [(*r[:3], r.dsc.hex()) for r in reference_results(spec)]
+        assert all(type(r) is CaseResult for r in generate_results(spec))
+
+    def test_matches_reference_loop_with_exclusions(self):
+        spec = SimSpec(n_tasks=3, methods_per_task=4, cases_per_task=9,
+                       family=BetaFamily(2.0, 5.0), seed=5, exclude=((0, 0), (1, 3), (2, 1)))
+        rows = generate_results(spec)
+        assert len(rows) == 9 * 9
+        assert [(*r[:3], r.dsc.hex()) for r in rows] == [
+            (*r[:3], r.dsc.hex()) for r in reference_results(spec)
+        ]
+
     def test_constant_family(self):
         spec = SimSpec(n_tasks=1, methods_per_task=2, cases_per_task=3,
                        family=ConstantFamily(0.8), seed=1)
@@ -165,6 +274,34 @@ class TestMakeTrainingPairs:
         result = make_training_pairs(generate_results(spec))
         assert result.n_groups == 12
         assert len(result.pairs) == 12 - result.n_dropped_zero_sd - result.n_skipped_small
+
+
+unit = st.floats(0.0, 1.0)
+groups = st.one_of(
+    st.builds(lambda v, n: [v] * n, unit, st.integers(1, 9)),  # constant or single-case
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=9),  # mixed zeros
+    st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]), min_size=1, max_size=9),
+    st.builds(lambda a, b, n, k: [a] * n + [b] * k, unit, unit, st.integers(1, 5), st.integers(1, 5)),
+    st.lists(unit, min_size=1, max_size=30),
+    # squared deviations that underflow: a non-constant group with SD 0
+    st.lists(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300]), min_size=1, max_size=9),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(groups, min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_pairs_match_summarize(values_by_group, rand):
+    rows = [
+        CaseResult(f"t{g % 3}", f"m{g}", f"c{i}", v)
+        for g, values in enumerate(values_by_group)
+        for i, v in enumerate(values)
+    ]
+    rand.shuffle(rows)  # groups interleave; both sides group by first appearance
+    result = make_training_pairs(rows)
+    pairs, dropped, skipped = summarize_pairs(rows)
+    assert [(p.dsc_mean_pct.hex(), p.sd_pct.hex()) for p in result.pairs] == pairs
+    assert (result.n_dropped_zero_sd, result.n_skipped_small) == (dropped, skipped)
+    assert result.n_groups == len(values_by_group)
 
 
 class TestParseFamily:
