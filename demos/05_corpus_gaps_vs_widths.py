@@ -29,9 +29,10 @@ print(f"width / gap ratio of medians: {summary.width.median / summary.delta.medi
 print(f"runner-up inside leader CI: {summary.overlap_fraction:.1%} of papers")
 
 print("\nbox-plot five-number summaries:")
-for panel, stats in summary.boxplots.items():
-    row = ", ".join(f"{k}={v:.4f}" for k, v in stats.items())
-    print(f"  {panel:>6}: {row}")
+for panel in ("width", "delta", "ratio"):
+    s = getattr(summary, panel)
+    print(f"  {panel:>6}: min={s.min:.4f}, q1={s.q1:.4f}, median={s.median:.4f}, "
+          f"q3={s.q3:.4f}, max={s.max:.4f}")
 
 # A few individual papers, largest gaps first.
 ranked = sorted(summary.analyses, key=lambda a: a.delta_dsc, reverse=True)

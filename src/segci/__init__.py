@@ -44,7 +44,23 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_MODULE_OF)
+__all__ = sorted([*_MODULE_OF, "DataFormatError"])
+
+
+# Defined here rather than in segci.io, which re-exports it, so that the
+# CLI can map it to exit 2 without loading the csv module.
+class DataFormatError(Exception):
+    """Malformed input file; carries the 1-based line number when known."""
+
+    def __init__(self, message: str, path=None, line: "int | None" = None):
+        self.path = str(path) if path is not None else None
+        self.line = line
+        where = ""
+        if self.path is not None:
+            where = f"{self.path}: "
+        if line is not None:
+            where += f"line {line}: "
+        super().__init__(where + message)
 
 
 def __getattr__(name: str):

@@ -10,9 +10,8 @@ reading of "difference" may be wanted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .descriptive import interpolated_quantile
 from .glm import GlmFit
@@ -30,8 +29,7 @@ __all__ = [
 DEFAULT_MIN_N = 20
 
 
-@dataclass(frozen=True)
-class CalibrationRecord:
+class CalibrationRecord(NamedTuple):
     """Observed and predicted dispersion for one (task, method) result.
 
     Widths are unclamped so they stay recomputable from (n, sd, alpha).
@@ -51,8 +49,7 @@ class CalibrationRecord:
         return self.observed_width - self.predicted_width
 
 
-@dataclass(frozen=True)
-class CalibrationSummary:
+class CalibrationSummary(NamedTuple):
     """Median/IQR of width differences over records with n > min_n_filter.
 
     The statistics are None when the filter removes every record.
@@ -145,8 +142,7 @@ def calibrate(
     return records, summary
 
 
-@dataclass(frozen=True)
-class CalibrationTable:
+class CalibrationTable(NamedTuple):
     """Scatter-plot data: one (predicted_width, observed_width, n) row per record."""
 
     rows: tuple[tuple[float, float, int], ...]

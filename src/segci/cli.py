@@ -18,9 +18,9 @@ from pathlib import Path
 
 # Each handler imports the modules it needs, so a command loads only
 # its own layers: `segci ci`, `calibrate` and `analyze` run without
-# numpy, and `simulate` and `fit` without the special functions.
-from . import glm
-from . import io as sio
+# numpy, `simulate` and `fit` without the special functions, and `ci`
+# without the csv module and the file readers of segci.io.
+from . import DataFormatError
 
 __all__ = ["main", "build_parser", "bundled_demo_corpus_path"]
 
@@ -57,11 +57,13 @@ def _dump_json(doc: dict, path: "str | Path | None") -> str:
     return text
 
 
-def _load_model(args) -> glm.GlmFit:
+def _load_model(args):
+    from . import glm
+
     try:
         return glm.paper_model() if args.model is None else glm.load_model(args.model)
     except ValueError as exc:
-        raise sio.DataFormatError(f"bad model file: {exc}", args.model) from None
+        raise DataFormatError(f"bad model file: {exc}", args.model) from None
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -134,6 +136,8 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _cmd_fit(args) -> int:
+    from . import glm
+    from . import io as sio
     from . import simulate as sim
 
     fmt = sio.detect_training_format(args.input)
@@ -152,7 +156,7 @@ def _cmd_fit(args) -> int:
     try:
         fit = glm.fit_gamma_log_glm(pairs)
     except (glm.InsufficientDataError, glm.RankDeficientError, ValueError) as exc:
-        raise sio.DataFormatError(str(exc), args.input) from None
+        raise DataFormatError(str(exc), args.input) from None
 
     glm.save_model(fit, args.output)
     print(f"coefficients: {fit.coefficients[0]:.6f} {fit.coefficients[1]:.6f} {fit.coefficients[2]:.6f}")
@@ -195,6 +199,7 @@ def _cmd_ci(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     from . import calibration as cal
+    from . import io as sio
 
     _check_alpha(args.alpha)
     if args.min_n < 0:
@@ -232,8 +237,13 @@ def _summary_doc(s) -> dict:
     }
 
 
+def _five_number(s) -> dict:
+    return {"min": s.min, "q1": s.q1, "median": s.median, "q3": s.q3, "max": s.max}
+
+
 def _cmd_analyze(args) -> int:
     from . import corpus as corpus_mod
+    from . import io as sio
 
     _check_alpha(args.alpha)
     summary = corpus_mod.analyze_corpus(
@@ -248,7 +258,12 @@ def _cmd_analyze(args) -> int:
         "width": _summary_doc(summary.width),
         "delta": _summary_doc(summary.delta) if summary.delta is not None else None,
         "ratio": _summary_doc(summary.ratio) if summary.ratio is not None else None,
-        "boxplots": summary.boxplots,
+        "boxplots": {
+            panel: _five_number(s)
+            for panel, s in (("width", summary.width), ("delta", summary.delta),
+                             ("ratio", summary.ratio))
+            if s is not None
+        },
         "papers": [
             {
                 "paper_id": a.paper_id,
@@ -276,6 +291,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import io as sio
     from . import simulate as sim
 
     if args.tasks < 1 or args.methods < 1 or args.cases < 1:
@@ -324,7 +340,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (sio.DataFormatError, OSError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, ArithmeticError) as exc:  # UsageError included

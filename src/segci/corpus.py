@@ -11,9 +11,8 @@ gap-to-width ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .descriptive import SampleSummary, summarize
 from .glm import GlmFit
@@ -31,36 +30,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MethodResult:
+class _MethodResult(NamedTuple):
     method_id: str
     mean_dsc: float
-    reported_sd: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mean_dsc <= 1.0:
-            raise ValueError(f"mean_dsc must lie in [0, 1], got {self.mean_dsc}")
-        if self.reported_sd is not None and not 0.0 <= self.reported_sd < math.inf:
-            raise ValueError(f"reported_sd must be finite and >= 0, got {self.reported_sd}")
+    reported_sd: float | None
 
 
-@dataclass(frozen=True)
-class PaperRecord:
-    """One paper's comparison table: methods evaluated on a shared test set."""
+class MethodResult(_MethodResult):
+    """One method's mean DSC in a comparison table; ``reported_sd`` is None when unreported."""
 
+    __slots__ = ()
+
+    def __new__(cls, method_id: str, mean_dsc: float, reported_sd: float | None = None):
+        if not 0.0 <= mean_dsc <= 1.0:
+            raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
+        if reported_sd is not None and not 0.0 <= reported_sd < math.inf:
+            raise ValueError(f"reported_sd must be finite and >= 0, got {reported_sd}")
+        return super().__new__(cls, method_id, mean_dsc, reported_sd)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip the checks
+        return cls(*iterable)
+
+
+class _PaperRecord(NamedTuple):
     paper_id: str
     test_n: int
     methods: tuple[MethodResult, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.test_n, Integral) or self.test_n < 2:
-            raise ValueError(f"test_n must be an integer >= 2, got {self.test_n!r}")
-        if not self.methods:
-            raise ValueError(f"paper {self.paper_id} carries no methods")
+
+class PaperRecord(_PaperRecord):
+    """One paper's comparison table: methods evaluated on a shared test set."""
+
+    __slots__ = ()
+
+    def __new__(cls, paper_id: str, test_n: int, methods: tuple[MethodResult, ...]):
+        if not isinstance(test_n, Integral) or test_n < 2:
+            raise ValueError(f"test_n must be an integer >= 2, got {test_n!r}")
+        if not methods:
+            raise ValueError(f"paper {paper_id} carries no methods")
+        return super().__new__(cls, paper_id, test_n, methods)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PaperAnalysis:
+class PaperAnalysis(NamedTuple):
     """Per-paper outcome; runner-up fields are None for single-method papers."""
 
     paper_id: str
@@ -73,8 +91,7 @@ class PaperAnalysis:
     sd_source: str
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
+class CorpusSummary(NamedTuple):
     """Corpus aggregates, plus the per-paper analyses sorted by paper_id."""
 
     n_papers: int
@@ -83,7 +100,6 @@ class CorpusSummary:
     delta: SampleSummary | None
     ratio: SampleSummary | None
     overlap_fraction: float | None
-    boxplots: dict
     analyses: tuple[PaperAnalysis, ...]
 
 
@@ -152,16 +168,6 @@ def summarize_analyses(analyses: Sequence[PaperAnalysis]) -> CorpusSummary:
     delta_summary = summarize(deltas) if deltas else None
     ratio_summary = summarize(ratios) if ratios else None
     overlap_fraction = sum(overlaps) / len(overlaps) if overlaps else None
-
-    def five_number(s: SampleSummary) -> dict:
-        return {"min": s.min, "q1": s.q1, "median": s.median, "q3": s.q3, "max": s.max}
-
-    boxplots = {"width": five_number(width_summary)}
-    if delta_summary is not None:
-        boxplots["delta"] = five_number(delta_summary)
-    if ratio_summary is not None:
-        boxplots["ratio"] = five_number(ratio_summary)
-
     return CorpusSummary(
         n_papers=len(ordered),
         n_with_runner_up=len(deltas),
@@ -169,7 +175,6 @@ def summarize_analyses(analyses: Sequence[PaperAnalysis]) -> CorpusSummary:
         delta=delta_summary,
         ratio=ratio_summary,
         overlap_fraction=overlap_fraction,
-        boxplots=boxplots,
         analyses=tuple(ordered),
     )
 

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = ["SampleSummary", "interpolated_quantile", "summarize"]
 
 
-@dataclass(frozen=True)
-class SampleSummary:
+class SampleSummary(NamedTuple):
     """Five-number summary plus mean and sample SD of a batch of values.
 
     ``sd`` uses the n-1 denominator and is None for single-value samples.

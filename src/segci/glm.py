@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,16 +54,14 @@ class RankDeficientError(ValueError):
     """Raised when the design matrix does not have full column rank."""
 
 
-@dataclass(frozen=True)
-class TrainingPair:
+class TrainingPair(NamedTuple):
     """One (mean DSC, SD) observation on the percentage-point scale."""
 
     dsc_mean_pct: float
     sd_pct: float
 
 
-@dataclass(frozen=True)
-class GlmFit:
+class GlmFit(NamedTuple):
     """Result of an IRLS fit (or a loaded model file).
 
     ``dispersion`` is the Pearson estimate; it does not influence the

@@ -13,9 +13,8 @@ per-case values and serves as the non-parametric cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .glm import GlmFit, predict_sd_pct
 from .special import t_quantile
@@ -40,28 +39,36 @@ MIN_BOOTSTRAP_RESAMPLES = 100
 _BLOCK_ELEMENTS = 2**15
 
 
-@dataclass(frozen=True)
-class AggregateReport:
+class _AggregateReport(NamedTuple):
+    mean_dsc: float
+    n: int
+    sd: float | None
+
+
+class AggregateReport(_AggregateReport):
     """Aggregate performance as extractable from a publication.
 
     All values on the fraction scale; ``sd`` is None when unreported.
     """
 
-    mean_dsc: float
-    n: int
-    sd: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mean_dsc <= 1.0:
-            raise ValueError(f"mean_dsc must lie in [0, 1], got {self.mean_dsc}")
-        if not isinstance(self.n, Integral) or self.n < 1:
-            raise ValueError(f"test size must be an integer >= 1, got {self.n!r}")
-        if self.sd is not None and not 0.0 <= self.sd < math.inf:
-            raise ValueError(f"sd must be finite and >= 0, got {self.sd}")
+    def __new__(cls, mean_dsc: float, n: int, sd: float | None = None):
+        if not 0.0 <= mean_dsc <= 1.0:
+            raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
+        if not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"test size must be an integer >= 1, got {n!r}")
+        if sd is not None and not 0.0 <= sd < math.inf:
+            raise ValueError(f"sd must be finite and >= 0, got {sd}")
+        return super().__new__(cls, mean_dsc, n, sd)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
+class ConfidenceInterval(NamedTuple):
     lower: float
     upper: float
     alpha: float
@@ -76,8 +83,7 @@ class ConfidenceInterval:
         return self.lower <= value <= self.upper
 
 
-@dataclass(frozen=True)
-class CiComparison:
+class CiComparison(NamedTuple):
     lower_diff: float
     upper_diff: float
     width_diff: float

@@ -20,6 +20,7 @@ from pathlib import Path
 from sys import intern
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from . import DataFormatError
 from .glm import TrainingPair
 
 if TYPE_CHECKING:
@@ -46,22 +47,12 @@ CORPUS_HEADER = ["paper_id", "method_id", "mean_dsc", "test_n", "sd"]
 CALIBRATION_HEADER = ["task_id", "method_id", "n", "mean_dsc", "observed_sd"]
 
 
-class DataFormatError(Exception):
-    """Malformed input file; carries the 1-based line number when known."""
+def _data_reader(fh, path: "str | Path", expected_header: list[str]):
+    """A ``csv.reader`` past the header row, which is checked.
 
-    def __init__(self, message: str, path: "str | Path | None" = None, line: int | None = None):
-        self.path = str(path) if path is not None else None
-        self.line = line
-        where = ""
-        if self.path is not None:
-            where = f"{self.path}: "
-        if line is not None:
-            where += f"line {line}: "
-        super().__init__(where + message)
-
-
-def _data_rows(fh, path: "str | Path", expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) for each row after the header, which is checked."""
+    Its ``line_num`` is the physical line on which the last row read
+    ends, counting the line breaks inside quoted fields.
+    """
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -71,7 +62,7 @@ def _data_rows(fh, path: "str | Path", expected_header: list[str]) -> Iterator[t
         raise DataFormatError(
             f"unexpected header {header!r}, expected {expected_header!r}", path, 1
         )
-    return enumerate(reader, start=2)
+    return reader
 
 
 def _is_data(row: list[str], width: int, path, line_no: int) -> bool:
@@ -86,7 +77,9 @@ def _is_data(row: list[str], width: int, path, line_no: int) -> bool:
 def _read_rows(path: "str | Path", expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each non-blank data row, checking shape."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, row in _data_rows(fh, path, expected_header):
+        reader = _data_reader(fh, path, expected_header)
+        for row in reader:
+            line_no = reader.line_num
             if _is_data(row, len(expected_header), path, line_no):
                 yield line_no, row
 
@@ -138,7 +131,8 @@ def read_per_case_csv(path: "str | Path") -> list[CaseResult]:
     new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, row in _data_rows(fh, path, PER_CASE_HEADER):
+        reader = _data_reader(fh, path, PER_CASE_HEADER)
+        for row in reader:
             try:
                 task_id, method_id, case_id, cell = row
                 dsc = float(cell)
@@ -147,6 +141,7 @@ def read_per_case_csv(path: "str | Path") -> list[CaseResult]:
                 valid = False
             if not valid:
                 # a blank row is skipped; any other is refused by the shared checks
+                line_no = reader.line_num
                 if not _is_data(row, len(PER_CASE_HEADER), path, line_no):
                     continue
                 dsc = _parse_float(row[3], "dsc", path, line_no)
@@ -169,16 +164,18 @@ class _Echo:
 
 
 def write_per_case_csv(rows: Sequence[CaseResult], path: "str | Path") -> None:
-    """Write per-case rows; the bytes are those ``csv.writer`` writes.
+    """Write per-case rows; each line ends with ``\\n``.
 
     ``csv.writer`` formats each distinct id once, quoting it where it
-    needs quotes, and every row is then one f-string.
+    needs quotes, and every row is then one f-string. The writer's
+    ``\\r\\n`` terminator makes it quote an id that holds a ``\\r`` as
+    well as one that holds a ``\\n``: unquoted, a reader ends the row there.
     """
-    csv_line = csv.writer(_Echo, lineterminator="\n").writerow
+    csv_line = csv.writer(_Echo, lineterminator="\r\n").writerow
     # the empty second field keeps an empty id unquoted, as inside a row
-    field = functools.cache(lambda text: csv_line([text, ""])[:-2])
+    field = functools.cache(lambda text: csv_line([text, ""])[:-3])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_line(PER_CASE_HEADER))
+        fh.write(",".join(PER_CASE_HEADER) + "\n")
         fh.writelines(
             f"{field(task_id)},{field(method_id)},{field(case_id)},{dsc:.6f}\n"
             for task_id, method_id, case_id, dsc in rows

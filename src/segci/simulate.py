@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -55,16 +54,9 @@ def _beta_sampler(a: float, b: float, rng: np.random.Generator) -> Callable[[], 
     return draw
 
 
-@dataclass(frozen=True)
-class BetaFamily:
-    """Per-case scores are iid Beta(a, b) within every (task, method) group."""
-
+class _BetaFamily(NamedTuple):
     a: float
     b: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
-            raise ValueError(f"beta parameters must be positive and finite, got ({self.a}, {self.b})")
 
     def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
         """Zero-argument draw from ``rng``'s current state; see :func:`gamma_sampler`."""
@@ -74,21 +66,46 @@ class BetaFamily:
         return sample_beta(self.a, self.b, rng)
 
 
-@dataclass(frozen=True)
-class ConstantFamily:
-    """Every case scores exactly ``value``."""
+class BetaFamily(_BetaFamily):
+    """Per-case scores are iid Beta(a, b) within every (task, method) group."""
 
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float):
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(f"beta parameters must be positive and finite, got ({a}, {b})")
+        return super().__new__(cls, a, b)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip the checks
+        return cls(*iterable)
+
+
+class _ConstantFamily(NamedTuple):
     value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"constant DSC must lie in [0, 1], got {self.value}")
 
     def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
         return lambda: self.value
 
     def draw(self, rng: np.random.Generator) -> float:
         return self.value
+
+
+class ConstantFamily(_ConstantFamily):
+    """Every case scores exactly ``value``."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: float):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"constant DSC must lie in [0, 1], got {value}")
+        return super().__new__(cls, value)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip the checks
+        return cls(*iterable)
 
 
 def parse_family(text: str) -> "BetaFamily | ConstantFamily":
@@ -106,8 +123,16 @@ def parse_family(text: str) -> "BetaFamily | ConstantFamily":
     raise ValueError(f"unknown family {text!r}; expected beta:a,b or constant:c")
 
 
-@dataclass(frozen=True)
-class SimSpec:
+class _SimSpec(NamedTuple):
+    n_tasks: int
+    methods_per_task: int
+    cases_per_task: int
+    family: "BetaFamily | ConstantFamily"
+    seed: int
+    exclude: tuple[tuple[int, int], ...]
+
+
+class SimSpec(_SimSpec):
     """Shape of a simulated challenge.
 
     Defaults mirror a multi-task challenge with 19 methods on 10 tasks.
@@ -115,16 +140,25 @@ class SimSpec:
     mimic missing submissions.
     """
 
-    n_tasks: int = 10
-    methods_per_task: int = 19
-    cases_per_task: int = 50
-    family: "BetaFamily | ConstantFamily" = field(default_factory=lambda: BetaFamily(8.0, 2.0))
-    seed: int = 42
-    exclude: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.n_tasks, self.methods_per_task, self.cases_per_task) < 1:
+    def __new__(
+        cls,
+        n_tasks: int = 10,
+        methods_per_task: int = 19,
+        cases_per_task: int = 50,
+        family: "BetaFamily | ConstantFamily" = BetaFamily(8.0, 2.0),
+        seed: int = 42,
+        exclude: tuple[tuple[int, int], ...] = (),
+    ):
+        if min(n_tasks, methods_per_task, cases_per_task) < 1:
             raise ValueError("all SimSpec counts must be >= 1")
+        return super().__new__(cls, n_tasks, methods_per_task, cases_per_task, family, seed, exclude)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip the checks
+        return cls(*iterable)
 
 
 class CaseResult(NamedTuple):
@@ -159,8 +193,7 @@ def generate_results(spec: SimSpec) -> list[CaseResult]:
     return rows
 
 
-@dataclass(frozen=True)
-class PairsResult:
+class PairsResult(NamedTuple):
     """Training pairs plus counts of groups that could not contribute."""
 
     pairs: tuple[TrainingPair, ...]

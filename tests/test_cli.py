@@ -389,6 +389,27 @@ class TestAnalyze:
         assert doc["width"]["n"] == 2
         assert doc["delta"]["n"] == 1
 
+    def test_boxplot_panels(self, capsys, tmp_path):
+        src = tmp_path / "corpus.csv"
+        out = tmp_path / "report.json"
+        src.write_text(
+            "paper_id,method_id,mean_dsc,test_n,sd\n"
+            "a,x,0.80,40,\n"
+            "a,y,0.79,40,\n"
+            "b,x,0.95,200,\n"
+            "b,y,0.90,200,\n"
+        )
+        assert run(capsys, "analyze", "--input", str(src), "--output", str(out))[0] == 0
+        doc = json.loads(out.read_text())
+        assert list(doc["boxplots"]) == ["width", "delta", "ratio"]
+        for name, panel in doc["boxplots"].items():
+            assert list(panel) == ["min", "q1", "median", "q3", "max"]
+            assert panel == {k: doc[name][k] for k in panel}
+        # without a runner-up there is no gap, so only the width panel
+        src.write_text("paper_id,method_id,mean_dsc,test_n,sd\nsolo,x,0.9,50,\n")
+        assert run(capsys, "analyze", "--input", str(src), "--output", str(out))[0] == 0
+        assert list(json.loads(out.read_text())["boxplots"]) == ["width"]
+
     def test_bundled_demo_corpus(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         code, _, _ = run(capsys, "analyze", "--input", str(bundled_demo_corpus_path()),

@@ -159,14 +159,6 @@ class TestAnalyzeCorpus:
         with pytest.raises(ValueError):
             analyze_corpus([], MODEL)
 
-    def test_boxplot_panels(self):
-        summary = analyze_corpus(
-            [paper("a", 40, 0.8, 0.79), paper("b", 200, 0.95, 0.90)], MODEL
-        )
-        assert set(summary.boxplots) == {"width", "delta", "ratio"}
-        for panel in summary.boxplots.values():
-            assert set(panel) == {"min", "q1", "median", "q3", "max"}
-
 
 def synthetic_corpus(n_papers=100, seed=314):
     papers = []

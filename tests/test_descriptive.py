@@ -127,7 +127,7 @@ def test_signed_zeros_independent_of_order(sample):
     def fields(values):
         s = summarize(values)
         quantiles = [interpolated_quantile(values, p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        return [v.hex() if isinstance(v, float) else v for v in (*vars(s).values(), *quantiles)]
+        return [v.hex() if isinstance(v, float) else v for v in (*s._asdict().values(), *quantiles)]
 
     want = fields(sample)
     for perm in itertools.permutations(sample):

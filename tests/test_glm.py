@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -178,7 +177,7 @@ class TestModelFiles:
         fit = fit_gamma_log_glm(exact_fit_pairs())
         path = tmp_path / "model.json"
         with pytest.raises(ValueError):
-            save_model(dataclasses.replace(fit, dispersion=math.nan), path)
+            save_model(fit._replace(dispersion=math.nan), path)
         assert not path.exists()
 
     def test_unknown_field_rejected(self, tmp_path):

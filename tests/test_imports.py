@@ -2,7 +2,10 @@
 
 ``import segci``, ``segci ci``, ``calibrate`` and ``analyze`` never load
 numpy; ``simulate`` and ``fit`` never load the special functions, the
-interval and corpus layers or the descriptive statistics.
+interval and corpus layers or the descriptive statistics. The commands
+that run without numpy (which loads ``inspect`` itself) load neither
+``dataclasses`` nor ``inspect``, and ``segci ci`` reads no CSV, so it
+loads neither ``csv`` nor ``segci.io``.
 """
 
 import json
@@ -17,6 +20,11 @@ import segci
 from segci.cli import bundled_demo_corpus_path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Modules that cost a fresh process milliseconds to load and that a
+# command must not load unless it runs their code.
+INTROSPECTION = ("dataclasses", "inspect")
+CI_SKIPS = {*INTROSPECTION, "csv", "segci.io"}
 
 
 def run_fresh(*args: str, timeout: float = 60, cwd=None) -> subprocess.CompletedProcess:
@@ -33,18 +41,48 @@ def assert_no_numpy(code: str) -> None:
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def new_modules(code: str) -> set:
+    """The modules that running ``code`` in a fresh interpreter adds to sys.modules."""
+    script = (
+        "import json as _json, sys as _sys\n_before = set(_sys.modules)\n"
+        f"{code}\n"
+        "print(_json.dumps(sorted(set(_sys.modules) - _before)))\n"
+    )
+    proc = run_fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
 def test_import_segci_skips_numpy():
     assert_no_numpy("import segci")
+
+
+def test_import_segci_loads_only_the_package():
+    # the package root resolves its public names on first access
+    assert new_modules("import segci") <= {"segci", "__future__"}
 
 
 def test_import_cli_skips_numpy():
     assert_no_numpy("import segci.cli")
 
 
+def test_import_cli_skips_command_layers():
+    loaded = new_modules("import segci.cli")
+    assert not loaded & {"segci.glm", "segci.io", "csv", *INTROSPECTION}, loaded
+
+
 @pytest.mark.parametrize("extra", [[], ["--sd", "0.08"]], ids=["model_sd", "reported_sd"])
 def test_ci_command_skips_numpy(extra):
     argv = ["ci", "--mean", "0.9", "--n", "100", *extra]
     assert_no_numpy(f"import segci.cli\nassert segci.cli.main({argv!r}) == 0")
+
+
+@pytest.mark.parametrize("extra", [[], ["--sd", "0.08"]], ids=["model_sd", "reported_sd"])
+def test_ci_command_import_budget(extra):
+    argv = ["ci", "--mean", "0.9", "--n", "100", *extra]
+    loaded = new_modules(f"import segci.cli\nassert segci.cli.main({argv!r}) == 0")
+    assert "segci.intervals" in loaded
+    assert not loaded & CI_SKIPS, sorted(loaded & CI_SKIPS)
 
 
 def loaded_after(argv: list[str], cwd) -> dict:
@@ -68,7 +106,17 @@ def test_analyze_and_calibrate_skip_numpy(tmp_path):
         ["analyze", "--input", str(bundled_demo_corpus_path()), "--output", "report.json"],
         ["calibrate", "--input", str(cal), "--summary", "s.json", "--points", "p.csv"],
     ):
-        assert "numpy" not in loaded_after(argv, tmp_path), argv[0]
+        loaded = loaded_after(argv, tmp_path)
+        for module in ("numpy", *INTROSPECTION):
+            assert module not in loaded, (argv[0], module)
+
+
+def test_no_module_uses_dataclasses():
+    # dataclasses loads inspect, ast and dis; the value types are named tuples
+    paths = sorted((SRC / "segci").glob("*.py"))
+    assert paths
+    for path in paths:
+        assert "dataclass" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_simulate_and_fit_skip_aggregate_layers(tmp_path):

@@ -1,8 +1,12 @@
 import csv
 import io
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import segci
 from segci import CaseResult, SimSpec, generate_results
 from segci.io import (
     PER_CASE_HEADER,
@@ -14,6 +18,12 @@ from segci.io import (
     read_per_case_csv,
     write_per_case_csv,
 )
+
+
+def test_data_format_error_is_the_package_root_class():
+    # the CLI raises and catches the root's class without loading segci.io
+    assert DataFormatError is segci.DataFormatError
+    assert "DataFormatError" in segci.__all__
 
 
 def test_per_case_roundtrip(tmp_path):
@@ -194,20 +204,54 @@ def test_per_case_writer_matches_csv_writer(tmp_path):
     rows += [CaseResult(task, "m", "c", 1.0 / 3.0) for task in ODD_IDS]
     rows += generate_results(SimSpec(n_tasks=2, methods_per_task=2, cases_per_task=3, seed=8))
     want = io.StringIO()
-    writer = csv.writer(want, lineterminator="\n")
+    # the "\r\n" terminator makes csv.writer quote an id that holds a "\r",
+    # as the file's "\n" alone would not; no id here holds "\r\n"
+    writer = csv.writer(want, lineterminator="\r\n")
     writer.writerow(PER_CASE_HEADER)
     for row in rows:
         writer.writerow([row.task_id, row.method_id, row.case_id, f"{row.dsc:.6f}"])
     path = tmp_path / "cases.csv"
     write_per_case_csv(rows, path)
-    assert path.read_bytes() == want.getvalue().encode("utf-8")
+    assert path.read_bytes() == want.getvalue().replace("\r\n", "\n").encode("utf-8")
 
 
 def test_per_case_quoted_ids_round_trip(tmp_path):
-    rows = [CaseResult(t, "m", "c", 0.25) for t in ODD_IDS if t.strip() == t and "\r" not in t]
+    rows = [CaseResult(t, "m", "c", 0.25) for t in ODD_IDS if t.strip() == t]
     path = tmp_path / "cases.csv"
     write_per_case_csv(rows, path)
     assert read_per_case_csv(path) == rows
+
+
+def test_per_case_carriage_return_id_round_trips(tmp_path):
+    # a csv.writer ending lines with "\n" leaves a "\r" unquoted, and a reader splits there
+    rows = [CaseResult("cr\rid", "m", "c", 0.5)]
+    path = tmp_path / "cases.csv"
+    write_per_case_csv(rows, path)
+    assert path.read_bytes() == b'task_id,method_id,case_id,dsc\n"cr\rid",m,c,0.500000\n'
+    assert read_per_case_csv(path) == rows
+
+
+# A quoted id that holds a line break puts every later record one line
+# further down the file than its record count.
+MULTILINE_FIRST_ROW = {
+    read_per_case_csv: ("task_id,method_id,case_id,dsc\n", '"two\nlines",m,c,0.5\n', "t,m,c,oops\n"),
+    read_pairs_csv: ("dsc_mean_pct,sd_pct\n", '"80.0\n",14.0\n', "80.0,oops\n"),
+    read_corpus_csv: ("paper_id,method_id,mean_dsc,test_n,sd\n", '"p\n1",a,0.9,100,\n',
+                      "p2,a,oops,100,\n"),
+    read_calibration_csv: ("task_id,method_id,n,mean_dsc,observed_sd\n",
+                           '"two\nlines",m,100,0.9,0.1\n', "t,m,100,oops,0.1\n"),
+}
+
+
+@pytest.mark.parametrize("reader", list(MULTILINE_FIRST_ROW), ids=lambda f: f.__name__)
+def test_errors_name_the_physical_line(tmp_path, reader):
+    header, two_lines, bad = MULTILINE_FIRST_ROW[reader]
+    path = tmp_path / "in.csv"
+    path.write_text(header + two_lines + bad)
+    with pytest.raises(DataFormatError, match="not a number") as info:
+        reader(path)
+    assert info.value.line == 4
+    assert "line 4: " in str(info.value)
 
 
 @pytest.mark.parametrize("reader, text, line", [
@@ -237,3 +281,66 @@ def test_per_case_blank_and_malformed_rows(tmp_path):
     assert info.value.line == 6
     path.write_text("task_id,method_id,case_id,dsc\n\n , , , \n t , m ,c,0.5\n,\n")
     assert read_per_case_csv(path) == [CaseResult("t", "m", "c", 0.5)]
+
+
+# Cells the readers must refuse or read as documented: non-finite and
+# overflowing numbers, empty and blank cells, underscore literals, and
+# values just outside each field's range.
+FUZZ_CELLS = ["nan", "inf", "-inf", "1e400", "", " ", "1_0", "1.5", "-1", "0.9", "2"]
+IDS = ["p1", "p2", ""]
+CORPUS_CELLS = [IDS, IDS, ["0.9", "0.05", "0", "1"], ["100"], ["", " ", "0.05", "0"]]
+CALIBRATION_CELLS = [IDS, IDS, ["2", "100"], ["0.9", "0.05", "0", "1"], ["0.05", "0"]]
+
+
+def fuzz_rows(valid_cells):
+    """Rows of valid cells, up to three of them replaced by a fuzz cell."""
+    row = st.tuples(*(st.sampled_from(cells) for cells in valid_cells)).map(list)
+    edit = st.tuples(st.integers(0, 5), st.integers(0, len(valid_cells) - 1),
+                     st.sampled_from(FUZZ_CELLS))
+
+    def apply(drawn):
+        rows, edits = drawn
+        for i, j, cell in edits:
+            rows[i % len(rows)][j] = cell
+        return [",".join(r) for r in rows]
+
+    return st.tuples(st.lists(row, min_size=1, max_size=6), st.lists(edit, max_size=3)).map(apply)
+
+
+def read_or_refuse(reader, path):
+    """The reader's result, or None after checking that it refused with a line number."""
+    try:
+        return reader(path)
+    except DataFormatError as exc:
+        # only a file without data rows is refused as a whole
+        assert exc.line is not None or str(exc).endswith("no data rows"), exc
+        assert exc.line is None or f"line {exc.line}: " in str(exc)
+        return None
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_rows(CORPUS_CELLS))
+def test_corpus_reader_fuzz(tmp_path, rows):
+    path = tmp_path / "corpus.csv"
+    path.write_text("\n".join(["paper_id,method_id,mean_dsc,test_n,sd", *rows]) + "\n")
+    papers = read_or_refuse(read_corpus_csv, path)
+    if papers is not None:
+        for paper in papers:
+            assert paper.test_n >= 2
+            for method in paper.methods:
+                assert 0.0 <= method.mean_dsc <= 1.0
+                assert method.reported_sd is None or 0.0 <= method.reported_sd < math.inf
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_rows(CALIBRATION_CELLS))
+def test_calibration_reader_fuzz(tmp_path, rows):
+    path = tmp_path / "cal.csv"
+    path.write_text("\n".join(["task_id,method_id,n,mean_dsc,observed_sd", *rows]) + "\n")
+    results = read_or_refuse(read_calibration_csv, path)
+    if results is not None:
+        assert len(results) == sum(1 for row in rows if row.replace(",", "").strip())
+        for _, _, n, mean, sd in results:
+            assert n >= 2 and 0.0 <= mean <= 1.0 and 0.0 <= sd < math.inf

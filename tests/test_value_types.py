@@ -1,0 +1,99 @@
+"""The value types are immutable named tuples; the validating ones check in ``__new__``."""
+
+import math
+import pickle
+import re
+
+import pytest
+
+from segci import (
+    AggregateReport,
+    BetaFamily,
+    CaseResult,
+    ConfidenceInterval,
+    ConstantFamily,
+    GlmFit,
+    MethodResult,
+    PaperRecord,
+    SampleSummary,
+    SimSpec,
+    TrainingPair,
+)
+
+METHOD = MethodResult("m", 0.9)
+
+# (constructor, arguments, the message the checks have always given)
+REFUSED = [
+    (AggregateReport, (1.5, 10), "mean_dsc must lie in [0, 1], got 1.5"),
+    (AggregateReport, (math.nan, 10), "mean_dsc must lie in [0, 1], got nan"),
+    (AggregateReport, (0.5, 0), "test size must be an integer >= 1, got 0"),
+    (AggregateReport, (0.5, 2.0), "test size must be an integer >= 1, got 2.0"),
+    (AggregateReport, (0.5, 10, -0.1), "sd must be finite and >= 0, got -0.1"),
+    (AggregateReport, (0.5, 10, math.inf), "sd must be finite and >= 0, got inf"),
+    (MethodResult, ("m", -0.1), "mean_dsc must lie in [0, 1], got -0.1"),
+    (MethodResult, ("m", 0.5, math.nan), "reported_sd must be finite and >= 0, got nan"),
+    (PaperRecord, ("p", 1, (METHOD,)), "test_n must be an integer >= 2, got 1"),
+    (PaperRecord, ("p", "10", (METHOD,)), "test_n must be an integer >= 2, got '10'"),
+    (PaperRecord, ("p", 10, ()), "paper p carries no methods"),
+    (BetaFamily, (0.0, 2.0), "beta parameters must be positive and finite, got (0.0, 2.0)"),
+    (BetaFamily, (math.inf, 2.0), "beta parameters must be positive and finite, got (inf, 2.0)"),
+    (ConstantFamily, (1.5,), "constant DSC must lie in [0, 1], got 1.5"),
+    (SimSpec, (0,), "all SimSpec counts must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("cls, args, message", REFUSED,
+                         ids=[f"{cls.__name__}{i}" for i, (cls, _, _) in enumerate(REFUSED)])
+def test_validating_classes_refuse_bad_values(cls, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(*args)
+
+
+VALID = [
+    AggregateReport(0.9, 100, 0.05),
+    MethodResult("m", 0.9, 0.1),
+    PaperRecord("p", 10, (METHOD,)),
+    BetaFamily(8.0, 2.0),
+    ConstantFamily(0.5),
+    SimSpec(n_tasks=2),
+]
+
+
+@pytest.mark.parametrize("value", VALID, ids=lambda v: type(v).__name__)
+def test_validating_classes_check_replace_and_pickle(value):
+    bad = next(args for cls, args, _ in REFUSED if cls is type(value))
+    with pytest.raises(ValueError):
+        value._replace(**dict(zip(value._fields, bad)))
+    assert value._replace() == value
+    assert type(value._replace()) is type(value)
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("value", [
+    *VALID,
+    CaseResult("t", "m", "c", 0.5),
+    ConfidenceInterval(0.1, 0.2, 0.05, "parametric_t"),
+    GlmFit((1.0, 0.0, 0.0), None, None, 0, None, None),
+    SampleSummary(1, 0.5, None, 0.5, 0.5, 0.5, 0.5, 0.5),
+    TrainingPair(80.0, 5.0),
+], ids=lambda v: type(v).__name__)
+def test_value_types_are_immutable(value):
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+    with pytest.raises(AttributeError):
+        value.no_such_field = 1
+    assert not hasattr(value, "__dict__")
+
+
+def test_defaults_keywords_repr_and_hash():
+    spec = SimSpec()
+    assert spec == SimSpec(10, 19, 50, BetaFamily(8.0, 2.0), 42, ())
+    assert spec.family is SimSpec(seed=1).family  # one shared, immutable default
+    assert SimSpec(seed=7, exclude=((0, 1),)) == SimSpec(10, 19, 50, spec.family, 7, ((0, 1),))
+    assert AggregateReport(0.5, 10) == AggregateReport(mean_dsc=0.5, n=10, sd=None)
+    assert MethodResult("m", 0.5).reported_sd is None
+    assert repr(MethodResult("m", 0.5)) == "MethodResult(method_id='m', mean_dsc=0.5, reported_sd=None)"
+    assert repr(ConstantFamily(0.5)) == "ConstantFamily(value=0.5)"
+    assert hash(PaperRecord("p", 10, (METHOD,))) == hash(PaperRecord("p", 10, (METHOD,)))
+    assert PaperRecord("p", 10, (METHOD,))._asdict() == {
+        "paper_id": "p", "test_n": 10, "methods": (METHOD,)}
