@@ -63,6 +63,20 @@ class DataFormatError(Exception):
         super().__init__(where + message)
 
 
+class _Checked:
+    """Mixin for a named tuple whose ``__new__`` validates its fields.
+
+    ``_replace`` builds through ``_make``, which would otherwise skip
+    the checks in ``__new__``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:

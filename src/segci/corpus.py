@@ -14,6 +14,7 @@ import math
 from numbers import Integral
 from typing import NamedTuple, Sequence
 
+from . import _Checked
 from .descriptive import SampleSummary, summarize
 from .glm import GlmFit
 from .intervals import AggregateReport, ConfidenceInterval, approximate_sd, parametric_ci
@@ -36,7 +37,7 @@ class _MethodResult(NamedTuple):
     reported_sd: float | None
 
 
-class MethodResult(_MethodResult):
+class MethodResult(_Checked, _MethodResult):
     """One method's mean DSC in a comparison table; ``reported_sd`` is None when unreported."""
 
     __slots__ = ()
@@ -48,11 +49,6 @@ class MethodResult(_MethodResult):
             raise ValueError(f"reported_sd must be finite and >= 0, got {reported_sd}")
         return super().__new__(cls, method_id, mean_dsc, reported_sd)
 
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would otherwise skip the checks
-        return cls(*iterable)
-
 
 class _PaperRecord(NamedTuple):
     paper_id: str
@@ -60,7 +56,7 @@ class _PaperRecord(NamedTuple):
     methods: tuple[MethodResult, ...]
 
 
-class PaperRecord(_PaperRecord):
+class PaperRecord(_Checked, _PaperRecord):
     """One paper's comparison table: methods evaluated on a shared test set."""
 
     __slots__ = ()
@@ -71,11 +67,6 @@ class PaperRecord(_PaperRecord):
         if not methods:
             raise ValueError(f"paper {paper_id} carries no methods")
         return super().__new__(cls, paper_id, test_n, methods)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would otherwise skip the checks
-        return cls(*iterable)
 
 
 class PaperAnalysis(NamedTuple):

@@ -7,8 +7,9 @@ measured in percentage points:
 
 Fitting uses iteratively reweighted least squares. For the Gamma family
 with a log link the working weights are constant, so each IRLS step is
-an ordinary least-squares solve on the working response
-z = eta + (y - mu) / mu.
+the same least-squares projection of the working response
+z = eta + (y - mu) / mu, and one QR factorisation of the design serves
+the whole fit.
 
 A published reference model ships with the package; see
 :func:`paper_model`.
@@ -40,8 +41,7 @@ __all__ = [
 ]
 
 MU_FLOOR = 1e-6
-DEVIANCE_RTOL = 1e-8
-SCORE_RTOL = 1e-8
+STEP_TOL = 1e-12  # on the next IRLS step in Q's basis, in ln-SD units
 MAX_ITERATIONS = 100
 _MAX_LN_SD = 709.78  # exp() of anything larger overflows a double
 
@@ -77,19 +77,18 @@ class GlmFit(NamedTuple):
     n_obs: int | None
 
 
-def _gamma_deviance(y: np.ndarray, mu: np.ndarray) -> float:
-    import numpy as np
-
-    return float(2.0 * np.sum(-np.log(y / mu) + (y - mu) / mu))
-
-
 def irls_gamma_log(design: np.ndarray, y: np.ndarray) -> GlmFit:
     """Fit a Gamma/log-link GLM for an arbitrary design matrix.
 
-    Starts from mu = max(y, 1e-6) and iterates OLS on the working
-    response until the relative deviance change falls below 1e-8 and the
-    score equations X' (y - mu)/mu are satisfied to 1e-8 per
-    observation, or 100 iterations elapse.
+    One reduced QR factorisation X = QR serves every IRLS step (the
+    weights are constant): from mu = max(y, 1e-6), a step projects the
+    working response z = eta + (y - mu)/mu to gamma = Q'z, eta = Q gamma.
+    The fit stops once the next step, Q'(y - mu)/mu, is at most 1e-12 in
+    every coordinate (ln-SD units, whatever the scale of X's columns or
+    of y), or after 100 steps; then R b = gamma gives the coefficients.
+    The design is rank deficient if a diagonal entry of R is at most
+    max(n, p) * eps times its column's norm (``lstsq``'s cut-off, taken
+    per column).
     """
     import numpy as np
 
@@ -98,38 +97,34 @@ def irls_gamma_log(design: np.ndarray, y: np.ndarray) -> GlmFit:
     if design.ndim != 2 or design.shape[0] != y.shape[0]:
         raise ValueError("design must be a 2-D matrix with one row per response")
     n, p = design.shape
-    if np.any(y <= 0.0):
-        raise ValueError("Gamma responses must be strictly positive")
+    if not np.all((y > 0.0) & (y < np.inf)):
+        raise ValueError("Gamma responses must be finite and strictly positive")
+
+    q, r = np.linalg.qr(design)
+    cutoff = max(n, p) * np.finfo(float).eps * np.linalg.norm(design, axis=0)[: len(r)]
+    rank = np.count_nonzero(np.abs(np.diag(r)) > cutoff)
+    if rank < p:
+        raise RankDeficientError(
+            f"design matrix has rank {rank} < {p}; predictor values are degenerate"
+        )
 
     mu = np.maximum(y, MU_FLOOR)
     eta = np.log(mu)
-    dev_old = _gamma_deviance(y, mu)
+    resid = (y - mu) / mu
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
-        z = eta + (y - mu) / mu
-        beta, _, rank, _ = np.linalg.lstsq(design, z, rcond=None)
-        if rank < p:
-            raise RankDeficientError(
-                f"design matrix has rank {rank} < {p}; predictor values are degenerate"
-            )
-        eta = design @ beta
+        gamma = q.T @ (eta + resid)
+        eta = q @ gamma
         mu = np.maximum(np.exp(eta), MU_FLOOR)
-        dev = _gamma_deviance(y, mu)
-        score_sup = float(np.max(np.abs(design.T @ ((y - mu) / mu))))
-        if (
-            abs(dev - dev_old) / (abs(dev) + 1e-10) < DEVIANCE_RTOL
-            and score_sup <= SCORE_RTOL * n
-        ):
+        resid = (y - mu) / mu
+        if np.max(np.abs(q.T @ resid)) <= STEP_TOL:
             converged = True
             break
-        dev_old = dev
 
-    pearson = float(np.sum(((y - mu) / mu) ** 2))
-    dispersion = pearson / (n - p) if n > p else None
     return GlmFit(
-        coefficients=tuple(float(b) for b in beta),  # type: ignore[arg-type]
-        dispersion=dispersion,
-        deviance=dev,
+        coefficients=tuple(float(b) for b in np.linalg.solve(r, gamma)),  # type: ignore[arg-type]
+        dispersion=float(np.sum(resid**2)) / (n - p) if n > p else None,
+        deviance=float(2.0 * np.sum(resid - np.log(y / mu))),
         iterations=iterations,
         converged=converged,
         n_obs=n,
@@ -142,7 +137,7 @@ def fit_gamma_log_glm(data: Sequence[TrainingPair]) -> GlmFit:
     Parameters
     ----------
     data : sequence of TrainingPair
-        At least 4 pairs; SDs strictly positive, means within [0, 100].
+        At least 4 pairs; SDs finite and strictly positive, means within [0, 100].
 
     Returns
     -------
@@ -158,9 +153,9 @@ def fit_gamma_log_glm(data: Sequence[TrainingPair]) -> GlmFit:
 
     x = np.array([pair.dsc_mean_pct for pair in data], dtype=float)
     y = np.array([pair.sd_pct for pair in data], dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("all sd_pct values must be strictly positive")
-    if np.any((x < 0.0) | (x > 100.0)):
+    if not np.all((y > 0.0) & (y < np.inf)):
+        raise ValueError("all sd_pct values must be finite and strictly positive")
+    if not np.all((x >= 0.0) & (x <= 100.0)):
         raise ValueError("dsc_mean_pct values must lie within [0, 100]")
     design = np.column_stack([np.ones_like(x), x, x * x])
     return irls_gamma_log(design, y)

@@ -16,6 +16,7 @@ import math
 from numbers import Integral
 from typing import NamedTuple, Sequence
 
+from . import _Checked
 from .glm import GlmFit, predict_sd_pct
 from .special import t_quantile
 
@@ -45,7 +46,7 @@ class _AggregateReport(NamedTuple):
     sd: float | None
 
 
-class AggregateReport(_AggregateReport):
+class AggregateReport(_Checked, _AggregateReport):
     """Aggregate performance as extractable from a publication.
 
     All values on the fraction scale; ``sd`` is None when unreported.
@@ -61,11 +62,6 @@ class AggregateReport(_AggregateReport):
         if sd is not None and not 0.0 <= sd < math.inf:
             raise ValueError(f"sd must be finite and >= 0, got {sd}")
         return super().__new__(cls, mean_dsc, n, sd)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would otherwise skip the checks
-        return cls(*iterable)
 
 
 class ConfidenceInterval(NamedTuple):
@@ -129,7 +125,8 @@ def parametric_ci(
         raise ValueError(f"sd must be finite and >= 0, got {sd}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    half_width = t_quantile(1.0 - alpha / 2.0, n - 1) * sd / math.sqrt(n)
+    # the lower quantile, negated: 1 - alpha/2 would round to 1 for a tiny alpha
+    half_width = -t_quantile(alpha / 2.0, n - 1) * sd / math.sqrt(n)
     lower = mean_dsc - half_width
     upper = mean_dsc + half_width
     clamped = False

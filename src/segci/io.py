@@ -18,7 +18,7 @@ import functools
 import math
 from pathlib import Path
 from sys import intern
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import DataFormatError
 from .glm import TrainingPair
@@ -47,6 +47,14 @@ CORPUS_HEADER = ["paper_id", "method_id", "mean_dsc", "test_n", "sd"]
 CALIBRATION_HEADER = ["task_id", "method_id", "n", "mean_dsc", "observed_sd"]
 
 
+def _header(reader, path: "str | Path") -> list[str]:
+    """The first row of a ``csv.reader``; an empty file is refused."""
+    try:
+        return next(reader)
+    except StopIteration:
+        raise DataFormatError("file is empty, expected a header row", path, 1) from None
+
+
 def _data_reader(fh, path: "str | Path", expected_header: list[str]):
     """A ``csv.reader`` past the header row, which is checked.
 
@@ -54,10 +62,7 @@ def _data_reader(fh, path: "str | Path", expected_header: list[str]):
     ends, counting the line breaks inside quoted fields.
     """
     reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("file is empty, expected a header row", path, 1) from None
+    header = _header(reader, path)
     if [h.strip() for h in header] != expected_header:
         raise DataFormatError(
             f"unexpected header {header!r}, expected {expected_header!r}", path, 1
@@ -74,14 +79,18 @@ def _is_data(row: list[str], width: int, path, line_no: int) -> bool:
     return True
 
 
-def _read_rows(path: "str | Path", expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line number, fields) for each non-blank data row, checking shape."""
+def _read_rows(path: "str | Path", expected_header: list[str]) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank data row, checking shape; none is refused."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _data_reader(fh, path, expected_header)
+        rows = []
         for row in reader:
             line_no = reader.line_num
             if _is_data(row, len(expected_header), path, line_no):
-                yield line_no, row
+                rows.append((line_no, row))
+    if not rows:
+        raise DataFormatError("no data rows", path)
+    return rows
 
 
 def _parse_float(cell: str, name: str, path, line_no: int) -> float:
@@ -108,10 +117,7 @@ def _parse_int(cell: str, name: str, path, line_no: int) -> int:
 def detect_training_format(path: "str | Path") -> str:
     """Classify a training CSV as ``per_case`` or ``pairs`` by its header."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataFormatError("file is empty, expected a header row", path, 1) from None
+        header = _header(csv.reader(fh), path)
     stripped = [h.strip() for h in header]
     if stripped == PER_CASE_HEADER:
         return "per_case"
@@ -183,11 +189,8 @@ def write_per_case_csv(rows: Sequence[CaseResult], path: "str | Path") -> None:
 
 
 def read_pairs_csv(path: "str | Path") -> list[TrainingPair]:
-    rows = list(_read_rows(path, PAIRS_HEADER))
-    if not rows:
-        raise DataFormatError("no data rows", path)
     out = []
-    for line_no, (mean_cell, sd_cell) in rows:
+    for line_no, (mean_cell, sd_cell) in _read_rows(path, PAIRS_HEADER):
         mean = _parse_float(mean_cell, "dsc_mean_pct", path, line_no)
         sd = _parse_float(sd_cell, "sd_pct", path, line_no)
         out.append(TrainingPair(dsc_mean_pct=mean, sd_pct=sd))
@@ -203,9 +206,7 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
     # corpus loads intervals and special, which simulate and fit do not need
     from .corpus import MethodResult, PaperRecord
 
-    rows = list(_read_rows(path, CORPUS_HEADER))
-    if not rows:
-        raise DataFormatError("no data rows", path)
+    rows = _read_rows(path, CORPUS_HEADER)
     methods: dict[str, list[MethodResult]] = {}
     test_ns: dict[str, tuple[int, int]] = {}
     for line_no, (paper_id, method_id, mean_cell, n_cell, sd_cell) in rows:
@@ -239,9 +240,7 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
 
 
 def read_calibration_csv(path: "str | Path") -> list[tuple[str, str, int, float, float]]:
-    rows = list(_read_rows(path, CALIBRATION_HEADER))
-    if not rows:
-        raise DataFormatError("no data rows", path)
+    rows = _read_rows(path, CALIBRATION_HEADER)
     out = []
     for line_no, (task_id, method_id, n_cell, mean_cell, sd_cell) in rows:
         n = _parse_int(n_cell, "n", path, line_no)

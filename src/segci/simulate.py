@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _Checked
 from .glm import TrainingPair
 from .rng import DOMAIN_CASES, DOMAIN_DEMO_CORPUS, gamma_sampler, substreams
 
@@ -66,7 +67,7 @@ class _BetaFamily(NamedTuple):
         return sample_beta(self.a, self.b, rng)
 
 
-class BetaFamily(_BetaFamily):
+class BetaFamily(_Checked, _BetaFamily):
     """Per-case scores are iid Beta(a, b) within every (task, method) group."""
 
     __slots__ = ()
@@ -75,11 +76,6 @@ class BetaFamily(_BetaFamily):
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise ValueError(f"beta parameters must be positive and finite, got ({a}, {b})")
         return super().__new__(cls, a, b)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would otherwise skip the checks
-        return cls(*iterable)
 
 
 class _ConstantFamily(NamedTuple):
@@ -92,7 +88,7 @@ class _ConstantFamily(NamedTuple):
         return self.value
 
 
-class ConstantFamily(_ConstantFamily):
+class ConstantFamily(_Checked, _ConstantFamily):
     """Every case scores exactly ``value``."""
 
     __slots__ = ()
@@ -101,11 +97,6 @@ class ConstantFamily(_ConstantFamily):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"constant DSC must lie in [0, 1], got {value}")
         return super().__new__(cls, value)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would otherwise skip the checks
-        return cls(*iterable)
 
 
 def parse_family(text: str) -> "BetaFamily | ConstantFamily":
@@ -132,7 +123,7 @@ class _SimSpec(NamedTuple):
     exclude: tuple[tuple[int, int], ...]
 
 
-class SimSpec(_SimSpec):
+class SimSpec(_Checked, _SimSpec):
     """Shape of a simulated challenge.
 
     Defaults mirror a multi-task challenge with 19 methods on 10 tasks.
@@ -154,11 +145,6 @@ class SimSpec(_SimSpec):
         if min(n_tasks, methods_per_task, cases_per_task) < 1:
             raise ValueError("all SimSpec counts must be >= 1")
         return super().__new__(cls, n_tasks, methods_per_task, cases_per_task, family, seed, exclude)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would otherwise skip the checks
-        return cls(*iterable)
 
 
 class CaseResult(NamedTuple):

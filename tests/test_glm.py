@@ -9,15 +9,19 @@ from segci import (
     GlmFit,
     InsufficientDataError,
     RankDeficientError,
+    SimSpec,
     TrainingPair,
     fit_gamma_log_glm,
+    generate_results,
     irls_gamma_log,
     load_model,
+    make_training_pairs,
     paper_model,
     predict_sd_pct,
     save_model,
     sd_upper_bound_pct,
 )
+from segci.io import read_per_case_csv, write_per_case_csv
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
 
@@ -88,10 +92,50 @@ class TestIrls:
         with pytest.raises(ValueError):
             fit_gamma_log_glm(pairs)
 
+    @pytest.mark.parametrize("mean, sd", [
+        (math.nan, 2.0), (30.0, math.nan), (30.0, math.inf),
+    ], ids=["nan_mean", "nan_sd", "inf_sd"])
+    def test_non_finite_pair_refused(self, mean, sd):
+        # these used to give NaN coefficients and a 100-step "unconverged" fit
+        pairs = [TrainingPair(x, 1.0 + x / 10.0) for x in (10.0, 20.0, 40.0)]
+        with pytest.raises(ValueError, match="must"):
+            fit_gamma_log_glm([*pairs, TrainingPair(mean, sd)])
+
     def test_rank_deficiency_on_constant_predictor(self):
         pairs = [TrainingPair(50.0, s) for s in (1.0, 2.0, 3.0, 4.0)]
         with pytest.raises(RankDeficientError):
             fit_gamma_log_glm(pairs)
+
+    def test_rank_deficiency_with_fewer_rows_than_columns(self):
+        design = np.array([[1.0, 10.0, 100.0], [1.0, 20.0, 400.0]])
+        with pytest.raises(RankDeficientError, match="rank 2 < 3"):
+            irls_gamma_log(design, np.array([1.0, 2.0]))
+
+    def test_single_family_fit_converges_at_newton_optimum(self, tmp_path):
+        # `segci simulate --cases 500 --seed 3`, then `segci fit`: the
+        # means span only ~3 points, so cond(X) is ~1e8, and a stopping
+        # rule measured on X's scale never passed here.
+        cases = tmp_path / "cases.csv"
+        write_per_case_csv(generate_results(SimSpec(cases_per_task=500, seed=3)), cases)
+        pairs = make_training_pairs(read_per_case_csv(cases)).pairs
+        fit = fit_gamma_log_glm(pairs)
+        assert fit.converged
+        assert fit.iterations <= 10
+        x = np.array([pair.dsc_mean_pct for pair in pairs])
+        y = np.array([pair.sd_pct for pair in pairs])
+        assert np.max(np.abs(np.asarray(fit.coefficients) - newton_fit(x, y))) < 1e-8
+
+    def test_stopping_rule_ignores_column_and_response_scale(self):
+        x, y = mc_dataset(MC_SEEDS[3])
+        design = np.column_stack([np.ones_like(x), x, x * x])
+        base = irls_gamma_log(design, y)
+        scales = np.array([1e3, 1e-2, 1e-4])
+        scaled = irls_gamma_log(design * scales, y * 1e6)
+        assert scaled.converged and base.converged
+        assert scaled.iterations == base.iterations
+        expected = np.asarray(base.coefficients) / scales
+        expected[0] += math.log(1e6) / scales[0]
+        assert np.allclose(scaled.coefficients, expected, rtol=1e-9, atol=0.0)
 
     def test_dispersion_positive(self):
         x, y = mc_dataset(MC_SEEDS[2])

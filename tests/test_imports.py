@@ -8,6 +8,7 @@ that run without numpy (which loads ``inspect`` itself) load neither
 loads neither ``csv`` nor ``segci.io``.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -134,6 +135,18 @@ def test_every_public_name_resolves():
     assert set(segci.__all__) <= set(dir(segci))
     with pytest.raises(AttributeError):
         segci.no_such_name  # noqa: B018
+
+
+def test_export_table_matches_module_all():
+    # segci._EXPORTS restates each submodule's __all__ for the lazy loader
+    for module, names in segci._EXPORTS.items():
+        submodule = importlib.import_module(f"segci.{module}")
+        assert set(names) <= set(submodule.__all__), module
+        # only string constants such as intervals.PARAMETRIC_T may stay unexported
+        unexported = set(submodule.__all__) - set(names)
+        assert all(isinstance(getattr(submodule, name), str) for name in unexported), (
+            module, unexported,
+        )
 
 
 def test_star_import():

@@ -226,6 +226,16 @@ class TestTQuantileTail:
     def test_cli_tiny_alpha_matches_scipy(self, capsys):
         assert main(["ci", "--mean", "0.5", "--n", "100", "--sd", "0.1", "--alpha", "1e-14"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        half_width = float(sp_stats.t.ppf(1.0 - 5e-15, 99)) * 0.1 / 10.0
+        # isf, not ppf(1 - 5e-15): in floats 1 - 5e-15 is the level 1 - 4.996e-15
+        half_width = float(sp_stats.t.isf(5e-15, 99)) * 0.1 / 10.0
+        assert doc["lower"] == pytest.approx(0.5 - half_width, abs=1e-6)
+        assert doc["upper"] == pytest.approx(0.5 + half_width, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha, sd", [("1e-16", 0.1), ("1e-300", 3e-4)])
+    def test_cli_alpha_below_double_resolution_matches_scipy(self, capsys, alpha, sd):
+        # 1 - alpha/2 rounds to 1.0 here, so the quantile must come from the tail itself
+        assert main(["ci", "--mean", "0.5", "--n", "100", "--sd", str(sd), "--alpha", alpha]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        half_width = float(sp_stats.t.isf(float(alpha) / 2.0, 99)) * sd / 10.0
         assert doc["lower"] == pytest.approx(0.5 - half_width, abs=1e-6)
         assert doc["upper"] == pytest.approx(0.5 + half_width, abs=1e-6)
