@@ -40,7 +40,7 @@ _EXPORTS = {
         "BetaFamily", "CaseResult", "ConstantFamily", "PairsResult", "SimSpec", "demo_corpus",
         "generate_results", "make_training_pairs", "parse_family", "sample_beta",
     ),
-    "special": ("ln_gamma", "regularized_incomplete_beta", "t_cdf", "t_pdf", "t_quantile"),
+    "special": ("t_cdf", "t_quantile"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

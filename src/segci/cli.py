@@ -155,7 +155,7 @@ def _cmd_fit(args) -> int:
         pairs = sio.read_pairs_csv(args.input)
     try:
         fit = glm.fit_gamma_log_glm(pairs)
-    except (glm.InsufficientDataError, glm.RankDeficientError, ValueError) as exc:
+    except ValueError as exc:  # InsufficientDataError and RankDeficientError included
         raise DataFormatError(str(exc), args.input) from None
 
     glm.save_model(fit, args.output)

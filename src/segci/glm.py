@@ -99,6 +99,10 @@ def irls_gamma_log(design: np.ndarray, y: np.ndarray) -> GlmFit:
     n, p = design.shape
     if not np.all((y > 0.0) & (y < np.inf)):
         raise ValueError("Gamma responses must be finite and strictly positive")
+    bad = np.argwhere(~np.isfinite(design))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"design entry [{i}, {j}] is {design[i, j]}; predictors must be finite")
 
     q, r = np.linalg.qr(design)
     cutoff = max(n, p) * np.finfo(float).eps * np.linalg.norm(design, axis=0)[: len(r)]

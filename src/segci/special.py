@@ -1,51 +1,28 @@
-"""Special functions for Student's t distribution.
+"""Student's t distribution, self-contained on the math stdlib.
 
-Self-contained double-precision routines built on the math stdlib:
+* ``t_cdf``: the cumulative distribution function.
+* ``t_quantile``: the inverse of ``t_cdf``.
 
-* ``ln_gamma``: log-gamma from a Lanczos series.
-* ``regularized_incomplete_beta``: I_x(a, b) from the modified Lentz
-  continued fraction.
-* ``t_cdf`` and ``t_pdf``: the t distribution on top of them.
-* ``t_quantile``: solves for the upper tail q = 1/2 I_{df/(df+t^2)}(df/2, 1/2)
-  directly, never through 1 - CDF, so tail quantiles keep their
-  relative precision down to q near the smallest positive double:
-  relative error below 1e-12 for df up to 1e5 and below 1e-10 up to
-  df = 1e7. It starts from Hill's expansion (CACM Algorithm 396, 1970),
-  polishes with Halley steps on ln q, raises ``ArithmeticError`` if
-  they do not converge within their budget, and memoizes (p, df) in a
-  bounded cache.
+Both evaluate the upper tail q = 1/2 I_{df/(df+t^2)}(df/2, 1/2) (or
+1/2 - q near the median) directly, as a continued fraction (modified
+Lentz) over the stdlib's ``math.lgamma``, never through 1 - CDF, so tail
+values keep their relative precision down to q near the smallest
+positive double. ``t_quantile`` starts from Hill's expansion (CACM
+Algorithm 396, 1970), polishes with Halley steps on ln q, raises
+``ArithmeticError`` if they do not converge within their budget, and
+caches (p, df) in a bounded LRU cache.
 
 Accuracy is cross-checked against scipy in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from statistics import NormalDist
 
-__all__ = [
-    "ln_gamma",
-    "regularized_incomplete_beta",
-    "t_cdf",
-    "t_pdf",
-    "t_quantile",
-]
+__all__ = ["t_cdf", "t_quantile"]
 
-# Lanczos approximation, g = 7, 9 coefficients. Relative error of the
-# reconstructed Gamma is ~1e-15 over the positive reals.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LN_SQRT_TWO_PI = 0.9189385332046727
 _LN_SQRT_PI = 0.5723649429247001
 
 _CF_MAX_TERMS = 500
@@ -57,44 +34,14 @@ _CF_EPS = 1e-15
 # tolerance; the tolerance only has to sit above the evaluation noise.
 _SOLVE_MAX_STEPS = 12
 _SOLVE_RTOL = 1e-8
-_MEMO_SIZE = 4096
-_memo: dict[tuple[float, float], float] = {}
 _STANDARD_NORMAL = NormalDist()
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Parameters
-    ----------
-    x : float
-        Argument, must be strictly positive.
-
-    Returns
-    -------
-    float
-        ln of gamma(x). Absolute error is below 1e-10 for moderate
-        arguments; for very large x (where |ln gamma| exceeds ~1e5) the
-        error is limited by the spacing of doubles at that magnitude.
-    """
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # Reflection keeps the series argument at 0.5 or above.
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
 def _ln_gamma_ratio(a: float) -> float:
     # ln Gamma(a + 1/2) - ln Gamma(a). Past a = 20 the asymptotic series
     # avoids the cancellation between two large log-gammas.
     if a < 20.0:
-        return ln_gamma(a + 0.5) - ln_gamma(a)
+        return math.lgamma(a + 0.5) - math.lgamma(a)
     z = 1.0 / (a * a)
     return 0.5 * math.log(a) - (1.0 - z * (1.0 / 24.0 - z * (1.0 / 80.0 - z * 17.0 / 1792.0))) / (8.0 * a)
 
@@ -145,67 +92,6 @@ def _beta_cf(a: float, b: float, x: float, y: float) -> float:
     )
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Parameters
-    ----------
-    a, b : float
-        Shape parameters, both strictly positive.
-    x : float
-        Integration limit in [0, 1].
-
-    Returns
-    -------
-    float
-        I_x(a, b) in [0, 1], relative error around 1e-13.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        ln_gamma(a + b)
-        - ln_gamma(a)
-        - ln_gamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x, 1.0 - x) / a
-    # Use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) where the continued
-    # fraction for the complement converges faster.
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x, x) / b
-
-
-def t_cdf(t: float, df: float) -> float:
-    """Cumulative distribution function of Student's t with df degrees of freedom."""
-    if df < 1.0:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, x)
-    return 1.0 - tail if t > 0.0 else tail
-
-
-def t_pdf(t: float, df: float) -> float:
-    """Density of Student's t with df degrees of freedom."""
-    if df < 1.0:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    ln_f = (
-        _ln_gamma_ratio(0.5 * df)
-        - 0.5 * math.log(df * math.pi)
-        - 0.5 * (df + 1.0) * math.log1p(t * t / df)
-    )
-    return math.exp(ln_f)
-
-
 def _tail_term(t: float, df: float) -> tuple[float, float, float]:
     # For t > 0, the upper tail q(t) = 1/2 I_x(df/2, 1/2), x = df/(df+t^2),
     # in whichever form keeps its relative precision: (ln q, -1, pdf/q)
@@ -233,6 +119,30 @@ def _tail_term(t: float, df: float) -> tuple[float, float, float]:
     # 1/2 - q = 1/2 I_y(1/2, df/2)
     ln_w = ln_front + math.log(_beta_cf(0.5, a, y, x))
     return ln_w, 1.0, math.exp(ln_pdf - ln_w)
+
+
+def t_cdf(t: float, df: float) -> float:
+    """Cumulative distribution function of Student's t with df degrees of freedom.
+
+    The tail beyond |t| comes from the same evaluation as ``t_quantile``,
+    so a left-tail value keeps its relative precision however small it
+    is. t = +inf and -inf give 1.0 and 0.0. Raises ``ValueError`` for a
+    NaN t or a df that is not finite and at least 1.
+    """
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
+    if not 1.0 <= df < math.inf:
+        raise ValueError(f"degrees of freedom must be finite and >= 1, got {df}")
+    if math.isinf(t):
+        return 1.0 if t > 0.0 else 0.0
+    if abs(t) < 1e-20:
+        # |CDF - 1/2| <= |t| / sqrt(2 pi), which rounds away; the tail
+        # term's pdf/w would overflow for a subnormal t.
+        return 0.5
+    ln_w, sign, _ = _tail_term(abs(t), df)
+    w = math.exp(ln_w)
+    q = w if sign < 0.0 else 0.5 - w
+    return 1.0 - q if t > 0.0 else q
 
 
 def _hill_start(q: float, df: float) -> float:
@@ -302,8 +212,8 @@ def t_quantile(p: float, df: float) -> float:
     on ln q (on ln(1/2 - q) near the median) until a step moves t by at
     most 1e-8 relative. The steps converge cubically, and at the usual
     confidence levels the start is already that close, so a solve
-    typically costs one tail evaluation. Results are memoized on
-    (p, df) in a bounded cache, so a repeated call returns the identical
+    typically costs one tail evaluation. Results are cached on (p, df)
+    in a bounded LRU cache, so a repeated call returns the identical
     float.
 
     Parameters
@@ -333,16 +243,13 @@ def t_quantile(p: float, df: float) -> float:
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     if not 1.0 <= df < math.inf:
         raise ValueError(f"degrees of freedom must be finite and >= 1, got {df}")
-    key = (p, df)
-    t = _memo.get(key)
-    if t is None:
-        if p == 0.5:
-            t = 0.0
-        elif p > 0.5:
-            t = _upper_quantile(1.0 - p, df)  # 1 - p is exact for p >= 1/2
-        else:
-            t = -_upper_quantile(p, df)
-        if len(_memo) >= _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-        _memo[key] = t
-    return t
+    return _solve(p, df)
+
+
+@functools.lru_cache(maxsize=4096)
+def _solve(p: float, df: float) -> float:
+    if p == 0.5:
+        return 0.0
+    if p > 0.5:
+        return _upper_quantile(1.0 - p, df)  # 1 - p is exact for p >= 1/2
+    return -_upper_quantile(p, df)

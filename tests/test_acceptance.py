@@ -4,8 +4,6 @@ them inline). Tolerances are fixed here, not configurable.
 """
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -27,6 +25,7 @@ from segci import (
 from segci.cli import bundled_demo_corpus_path, main
 from segci.io import read_corpus_csv
 from segci.rng import DOMAIN_BOOTSTRAP, substream
+from test_imports import run_fresh
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
 
@@ -176,11 +175,8 @@ def test_criterion_7_determinism(tmp_path, capsys):
 
         # fresh interpreter: a separate process must write the same bytes
         sim_c = tmp_path / "c.csv"
-        subprocess.run(
-            [sys.executable, "-m", "segci.cli", "simulate", "--output", str(sim_c), *sim_args],
-            check=True,
-            capture_output=True,
-        )
+        proc = run_fresh("-m", "segci.cli", "simulate", "--output", str(sim_c), *sim_args)
+        assert proc.returncode == 0, proc.stderr
         assert sim_c.read_bytes() == sim_a.read_bytes()
 
         fit_a = tmp_path / "a.json"

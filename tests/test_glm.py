@@ -101,6 +101,15 @@ class TestIrls:
         with pytest.raises(ValueError, match="must"):
             fit_gamma_log_glm([*pairs, TrainingPair(mean, sd)])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_design_refused(self, value):
+        # refused before the QR, whose NaN diagonal would read as rank deficiency
+        design = np.array([[1.0, x, x * x] for x in (10.0, 20.0, 30.0, 40.0)])
+        design[2, 1] = value
+        with pytest.raises(ValueError, match=rf"\[2, 1\] is {value}; predictors must be finite") as err:
+            irls_gamma_log(design, np.array([1.0, 2.0, 3.0, 4.0]))
+        assert not isinstance(err.value, RankDeficientError)
+
     def test_rank_deficiency_on_constant_predictor(self):
         pairs = [TrainingPair(50.0, s) for s in (1.0, 2.0, 3.0, 4.0)]
         with pytest.raises(RankDeficientError):

@@ -344,3 +344,34 @@ def test_calibration_reader_fuzz(tmp_path, rows):
         assert len(results) == sum(1 for row in rows if row.replace(",", "").strip())
         for _, _, n, mean, sd in results:
             assert n >= 2 and 0.0 <= mean <= 1.0 and 0.0 <= sd < math.inf
+
+
+PER_CASE_CELLS = [IDS, IDS, ["c1", "c2", ""], ["0.9", "0", "1", "0.5"]]
+PAIRS_CELLS = [["90", "0", "100", "55.5"], ["5", "0.5", "0"]]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_rows(PER_CASE_CELLS))
+def test_per_case_reader_fuzz(tmp_path, rows):
+    path = tmp_path / "cases.csv"
+    path.write_text("\n".join([",".join(PER_CASE_HEADER), *rows]) + "\n")
+    results = read_or_refuse(read_per_case_csv, path)
+    if results is not None:
+        assert len(results) == sum(1 for row in rows if row.replace(",", "").strip())
+        for result in results:
+            assert 0.0 <= result.dsc <= 1.0
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_rows(PAIRS_CELLS))
+def test_pairs_reader_fuzz(tmp_path, rows):
+    path = tmp_path / "pairs.csv"
+    path.write_text("\n".join(["dsc_mean_pct,sd_pct", *rows]) + "\n")
+    pairs = read_or_refuse(read_pairs_csv, path)
+    if pairs is not None:
+        assert len(pairs) == sum(1 for row in rows if row.replace(",", "").strip())
+        # the reader takes any finite pair; fit_gamma_log_glm checks the ranges
+        for mean, sd in pairs:
+            assert math.isfinite(mean) and math.isfinite(sd)
