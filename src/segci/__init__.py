@@ -37,8 +37,9 @@ _EXPORTS = {
         "bootstrap_ci", "compare_cis", "parametric_ci",
     ),
     "simulate": (
-        "BetaFamily", "CaseResult", "ConstantFamily", "PairsResult", "SimSpec", "demo_corpus",
-        "generate_results", "make_training_pairs", "parse_family", "sample_beta",
+        "BetaFamily", "CaseResult", "ConstantFamily", "PairsResult", "SimSpec", "SimulatedRows",
+        "demo_corpus", "generate_results", "make_training_pairs",
+        "parse_family", "sample_beta",
     ),
     "special": ("t_cdf", "t_quantile"),
 }

@@ -57,6 +57,25 @@ def _dump_json(doc: dict, path: "str | Path | None") -> str:
     return text
 
 
+def _number(kind):
+    """An argparse ``type`` that reads ``kind`` but refuses underscore literals.
+
+    ``int`` and ``float`` read "1_00" as 100; the CSV readers refuse it,
+    and so does every numeric flag.
+    """
+    def parse(text: str):
+        if "_" in text:
+            raise ValueError(text)
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_INT = _number(int)
+_FLOAT = _number(float)
+
+
 def _load_model(args):
     from . import glm
 
@@ -67,7 +86,8 @@ def _load_model(args):
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
+    parser.add_argument("--alpha", type=_FLOAT, default=0.05,
+                        help="significance level (default 0.05)")
     parser.add_argument("--model", type=str, default=None,
                         help="model JSON path (default: bundled published model)")
 
@@ -96,9 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--output", required=True, help="model JSON to write")
 
     p_ci = sub.add_parser("ci", help="reconstruct one CI from aggregate values")
-    p_ci.add_argument("--mean", type=float, required=True, help="mean DSC in [0, 1]")
-    p_ci.add_argument("--n", type=int, required=True, help="test-set size (>= 2)")
-    p_ci.add_argument("--sd", type=float, default=None, help="reported SD (fraction scale)")
+    p_ci.add_argument("--mean", type=_FLOAT, required=True, help="mean DSC in [0, 1]")
+    p_ci.add_argument("--n", type=_INT, required=True, help="test-set size (>= 2)")
+    p_ci.add_argument("--sd", type=_FLOAT, default=None, help="reported SD (fraction scale)")
     _add_model_flags(p_ci)
     _add_sd_flags(p_ci)
 
@@ -107,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--summary", required=True, help="summary JSON to write")
     p_cal.add_argument("--points", required=True, help="scatter points CSV to write")
     _add_model_flags(p_cal)
-    p_cal.add_argument("--min-n", type=int, default=20,
+    p_cal.add_argument("--min-n", type=_INT, default=20,
                        help="summary keeps records with n above this (default 20)")
 
     p_an = sub.add_parser("analyze", help="corpus-level gap vs CI-width analysis")
@@ -118,14 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate synthetic per-case results")
     p_sim.add_argument("--output", required=True, help="per-case CSV to write")
-    p_sim.add_argument("--tasks", type=int, default=10)
-    p_sim.add_argument("--methods", type=int, default=19)
-    p_sim.add_argument("--cases", type=int, default=50)
+    p_sim.add_argument("--tasks", type=_INT, default=10)
+    p_sim.add_argument("--methods", type=_INT, default=19)
+    p_sim.add_argument("--cases", type=_INT, default=50)
     p_sim.add_argument("--family", type=str, default="beta:8,2",
                        help="per-case distribution: beta:a,b or constant:c (default beta:8,2)")
     p_sim.add_argument("--exclude", type=str, default="",
                        help="comma-separated task:method index pairs to drop, e.g. 9:18")
-    p_sim.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+    p_sim.add_argument("--seed", type=_INT, default=42, help="random seed (default 42)")
 
     return parser
 
@@ -142,8 +162,7 @@ def _cmd_fit(args) -> int:
 
     fmt = sio.detect_training_format(args.input)
     if fmt == "per_case":
-        rows = sio.read_per_case_csv(args.input)
-        result = sim.make_training_pairs(rows)
+        result = sim.make_training_pairs(sio.iter_per_case_csv(args.input))
         if result.n_dropped_zero_sd or result.n_skipped_small:
             print(
                 f"note: dropped {result.n_dropped_zero_sd} zero-SD group(s), "
@@ -305,7 +324,7 @@ def _cmd_simulate(args) -> int:
         for token in args.exclude.split(","):
             t, _, m = token.partition(":")
             try:
-                exclude.append((int(t), int(m)))
+                exclude.append((_INT(t), _INT(m)))
             except ValueError:
                 raise UsageError(f"bad --exclude entry {token!r}, expected task:method") from None
     spec = sim.SimSpec(
@@ -316,7 +335,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         exclude=tuple(exclude),
     )
-    rows = sim.generate_results(spec)
+    rows = sim.SimulatedRows(spec)
     sio.write_per_case_csv(rows, args.output)
     print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK

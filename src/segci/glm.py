@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from importlib import resources
+from operator import mul
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple, Sequence
 
 __all__ = [
     "TrainingPair",
@@ -77,10 +76,61 @@ class GlmFit(NamedTuple):
     n_obs: int | None
 
 
-def irls_gamma_log(design: np.ndarray, y: np.ndarray) -> GlmFit:
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return math.fsum(map(mul, a, b))
+
+
+def _householder_qr(
+    columns: Sequence[Sequence[float]],
+) -> tuple[list[list[float]], list[list[float]]]:
+    """Reduced QR of the n x p matrix with these columns, by Householder reflections.
+
+    Returns Q's first min(n, p) columns and R's rows (R[k][j] for j >= k).
+    Column k's reflection maps its rows k.. onto -sign(x0) * |x| e1, as
+    LAPACK's does, so |R[k][k]| is the norm of what is left of column k.
+    """
+    n, p = len(columns[0]), len(columns)
+    k_max = min(n, p)
+    work = [list(col) for col in columns]
+    reflectors: list[tuple[list[float], float] | None] = []
+    r = [[0.0] * p for _ in range(k_max)]
+    for k in range(k_max):
+        x = work[k][k:]
+        norm = math.hypot(*x)
+        if norm == 0.0:
+            reflectors.append(None)
+        else:
+            alpha = -math.copysign(norm, x[0])
+            x[0] -= alpha
+            scale = -alpha * x[0]  # v'v / 2
+            reflectors.append((x, scale))
+            for j in range(k + 1, p):
+                tail = work[j][k:]
+                s = _dot(x, tail) / scale
+                work[j][k:] = [t - s * v for t, v in zip(tail, x)]
+            work[k][k] = alpha
+        for j in range(k, p):
+            r[k][j] = work[j][k]
+    q = []
+    for j in range(k_max):
+        col = [0.0] * n
+        col[j] = 1.0
+        for k in range(j, -1, -1):  # Q e_j = H_0 ... H_j e_j
+            if reflectors[k] is not None:
+                v, scale = reflectors[k]
+                tail = col[k:]
+                s = _dot(v, tail) / scale
+                col[k:] = [t - s * w for t, w in zip(tail, v)]
+        q.append(col)
+    return q, r
+
+
+def irls_gamma_log(design, y: Sequence[float]) -> GlmFit:
     """Fit a Gamma/log-link GLM for an arbitrary design matrix.
 
-    One reduced QR factorisation X = QR serves every IRLS step (the
+    ``design`` is any n x p matrix given as a sequence of rows (a 2-D
+    array or a list of lists), ``y`` the n responses. One reduced
+    Householder QR factorisation X = QR serves every IRLS step (the
     weights are constant): from mu = max(y, 1e-6), a step projects the
     working response z = eta + (y - mu)/mu to gamma = Q'z, eta = Q gamma.
     The fit stops once the next step, Q'(y - mu)/mu, is at most 1e-12 in
@@ -88,47 +138,61 @@ def irls_gamma_log(design: np.ndarray, y: np.ndarray) -> GlmFit:
     of y), or after 100 steps; then R b = gamma gives the coefficients.
     The design is rank deficient if a diagonal entry of R is at most
     max(n, p) * eps times its column's norm (``lstsq``'s cut-off, taken
-    per column).
+    per column). Inner products are exactly rounded sums (``math.fsum``).
     """
-    import numpy as np
-
-    design = np.asarray(design, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if design.ndim != 2 or design.shape[0] != y.shape[0]:
+    try:
+        rows = [[float(v) for v in row] for row in design]
+        y = [float(v) for v in y]
+    except TypeError:
+        rows = None
+    p = len(rows[0]) if rows else 0
+    if not p or len(rows) != len(y) or any(len(row) != p for row in rows):
         raise ValueError("design must be a 2-D matrix with one row per response")
-    n, p = design.shape
-    if not np.all((y > 0.0) & (y < np.inf)):
+    n = len(rows)
+    if not all(0.0 < v < math.inf for v in y):
         raise ValueError("Gamma responses must be finite and strictly positive")
-    bad = np.argwhere(~np.isfinite(design))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"design entry [{i}, {j}] is {design[i, j]}; predictors must be finite")
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                raise ValueError(f"design entry [{i}, {j}] is {v}; predictors must be finite")
 
-    q, r = np.linalg.qr(design)
-    cutoff = max(n, p) * np.finfo(float).eps * np.linalg.norm(design, axis=0)[: len(r)]
-    rank = np.count_nonzero(np.abs(np.diag(r)) > cutoff)
+    columns = list(zip(*rows))
+    q, r = _householder_qr(columns)
+    eps_n = max(n, p) * sys.float_info.epsilon
+    rank = sum(abs(r[k][k]) > eps_n * math.hypot(*columns[k]) for k in range(len(r)))
     if rank < p:
         raise RankDeficientError(
             f"design matrix has rank {rank} < {p}; predictor values are degenerate"
         )
 
-    mu = np.maximum(y, MU_FLOOR)
-    eta = np.log(mu)
-    resid = (y - mu) / mu
+    q_rows = list(zip(*q))
+    mu = [max(v, MU_FLOOR) for v in y]
+    eta = [math.log(m) for m in mu]
+    resid = [(v - m) / m for v, m in zip(y, mu)]
     converged = False
     for iterations in range(1, MAX_ITERATIONS + 1):
-        gamma = q.T @ (eta + resid)
-        eta = q @ gamma
-        mu = np.maximum(np.exp(eta), MU_FLOOR)
-        resid = (y - mu) / mu
-        if np.max(np.abs(q.T @ resid)) <= STEP_TOL:
+        z = [e + d for e, d in zip(eta, resid)]
+        gamma = [_dot(col, z) for col in q]
+        eta = [_dot(row, gamma) for row in q_rows]
+        try:
+            mu = [max(math.exp(e), MU_FLOOR) for e in eta]
+        except OverflowError:
+            raise ArithmeticError(
+                f"IRLS diverged: the linear predictor overflowed at step {iterations}"
+            ) from None
+        resid = [(v - m) / m for v, m in zip(y, mu)]
+        if max(abs(_dot(col, resid)) for col in q) <= STEP_TOL:
             converged = True
             break
 
+    coefficients = [0.0] * p
+    for k in range(p - 1, -1, -1):  # back substitution in R b = gamma
+        s = gamma[k] - math.fsum(r[k][j] * coefficients[j] for j in range(k + 1, p))
+        coefficients[k] = s / r[k][k]
     return GlmFit(
-        coefficients=tuple(float(b) for b in np.linalg.solve(r, gamma)),  # type: ignore[arg-type]
-        dispersion=float(np.sum(resid**2)) / (n - p) if n > p else None,
-        deviance=float(2.0 * np.sum(resid - np.log(y / mu))),
+        coefficients=tuple(coefficients),  # type: ignore[arg-type]
+        dispersion=math.fsum(d * d for d in resid) / (n - p) if n > p else None,
+        deviance=2.0 * math.fsum(d - math.log(v / m) for d, v, m in zip(resid, y, mu)),
         iterations=iterations,
         converged=converged,
         n_obs=n,
@@ -153,16 +217,13 @@ def fit_gamma_log_glm(data: Sequence[TrainingPair]) -> GlmFit:
         raise InsufficientDataError(
             f"need at least 4 training pairs, got {len(data)}"
         )
-    import numpy as np
-
-    x = np.array([pair.dsc_mean_pct for pair in data], dtype=float)
-    y = np.array([pair.sd_pct for pair in data], dtype=float)
-    if not np.all((y > 0.0) & (y < np.inf)):
+    x = [pair.dsc_mean_pct for pair in data]
+    y = [pair.sd_pct for pair in data]
+    if not all(0.0 < v < math.inf for v in y):
         raise ValueError("all sd_pct values must be finite and strictly positive")
-    if not np.all((x >= 0.0) & (x <= 100.0)):
+    if not all(0.0 <= v <= 100.0 for v in x):
         raise ValueError("dsc_mean_pct values must lie within [0, 100]")
-    design = np.column_stack([np.ones_like(x), x, x * x])
-    return irls_gamma_log(design, y)
+    return irls_gamma_log([(1.0, v, v * v) for v in x], y)
 
 
 def sd_upper_bound_pct(dsc_mean_pct: float) -> float:

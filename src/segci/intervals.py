@@ -155,7 +155,10 @@ def bootstrap_ci(
     and summation order never change a bit.
 
     Non-finite values are refused, as is a sample whose resample sums
-    overflow the float range.
+    overflow the float range, and an alpha so small that
+    (n_resamples + 1) * alpha / 2 < 1: its interval would be the smallest
+    and largest resample means whatever alpha is (Davison & Hinkley 1997,
+    section 5.2).
     """
     # numpy and the random streams load here, so the aggregate path
     # (parametric_ci and approximate_sd) runs without them.
@@ -175,6 +178,13 @@ def bootstrap_ci(
         )
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    needed = 2.0 / alpha  # B + 1 >= 2 / alpha, i.e. (B + 1) * alpha / 2 >= 1
+    if n_resamples + 1 < needed:
+        fix = f"n_resamples >= {math.ceil(needed) - 1}" if needed < math.inf else "a larger alpha"
+        raise ValueError(
+            f"alpha={alpha} is too small for n_resamples={n_resamples}: the interval would be "
+            f"the extreme resample means; use {fix}"
+        )
     if arr[0] == arr[-1]:
         # constant sample: every resample mean equals the shared value. The
         # sort keeps 0.0 and -0.0 in input order, so the sign is read from

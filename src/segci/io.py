@@ -16,9 +16,10 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import re
 from pathlib import Path
 from sys import intern
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import DataFormatError
 from .glm import TrainingPair
@@ -34,6 +35,7 @@ __all__ = [
     "CORPUS_HEADER",
     "CALIBRATION_HEADER",
     "read_per_case_csv",
+    "iter_per_case_csv",
     "write_per_case_csv",
     "read_pairs_csv",
     "read_corpus_csv",
@@ -130,12 +132,13 @@ def detect_training_format(path: "str | Path") -> str:
     )
 
 
-def read_per_case_csv(path: "str | Path") -> list[CaseResult]:
-    # simulate loads numpy, which the readers of the other formats avoid
-    from .simulate import CaseResult
+def iter_per_case_csv(path: "str | Path") -> Iterator[tuple[str, str, str, float]]:
+    """(task_id, method_id, case_id, dsc) of each data row, ids stripped, as it is read.
 
-    new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
-    out = []
+    Blank rows are skipped; any other row that is not four fields with a
+    dsc in [0, 1] is refused, as is a file without data rows.
+    """
+    found = False
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _data_reader(fh, path, PER_CASE_HEADER)
         for row in reader:
@@ -152,13 +155,22 @@ def read_per_case_csv(path: "str | Path") -> list[CaseResult]:
                     continue
                 dsc = _parse_float(row[3], "dsc", path, line_no)
                 raise DataFormatError(f"dsc must lie in [0, 1], got {dsc}", path, line_no)
-            # interned: a file repeats each id many times, and its rows share one copy
-            out.append(new_row(CaseResult, (
-                intern(task_id.strip()), intern(method_id.strip()), intern(case_id.strip()), dsc,
-            )))
-    if not out:
+            found = True
+            yield task_id.strip(), method_id.strip(), case_id.strip(), dsc
+    if not found:
         raise DataFormatError("no data rows", path)
-    return out
+
+
+def read_per_case_csv(path: "str | Path") -> list[CaseResult]:
+    # imported here: calibrate and analyze read their CSVs without simulate
+    from .simulate import CaseResult
+
+    new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
+    # interned: a file repeats each id many times, and its rows share one copy
+    return [
+        new_row(CaseResult, (intern(task_id), intern(method_id), intern(case_id), dsc))
+        for task_id, method_id, case_id, dsc in iter_per_case_csv(path)
+    ]
 
 
 class _Echo:
@@ -169,21 +181,25 @@ class _Echo:
         return line
 
 
-def write_per_case_csv(rows: Sequence[CaseResult], path: "str | Path") -> None:
-    """Write per-case rows; each line ends with ``\\n``.
+def write_per_case_csv(rows: Iterable[CaseResult], path: "str | Path") -> None:
+    """Write per-case rows, each as it is iterated; each line ends with ``\\n``.
 
-    ``csv.writer`` formats each distinct id once, quoting it where it
-    needs quotes, and every row is then one f-string. The writer's
-    ``\\r\\n`` terminator makes it quote an id that holds a ``\\r`` as
-    well as one that holds a ``\\n``: unquoted, a reader ends the row there.
+    A field is quoted by ``csv.writer`` when it holds a ``,``, a ``"``,
+    a ``\\r`` or a ``\\n`` (the writer's ``\\r\\n`` terminator makes it
+    quote both: unquoted, a reader ends the row there) and written as it
+    is otherwise. Task and method ids are formatted once each; every row
+    is then one f-string.
     """
     csv_line = csv.writer(_Echo, lineterminator="\r\n").writerow
     # the empty second field keeps an empty id unquoted, as inside a row
-    field = functools.cache(lambda text: csv_line([text, ""])[:-3])
+    quote = lambda text: csv_line([text, ""])[:-3]
+    group_field = functools.cache(quote)  # as many entries as tasks and methods
+    needs_quotes = re.compile('[,"\r\n]').search
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(PER_CASE_HEADER) + "\n")
         fh.writelines(
-            f"{field(task_id)},{field(method_id)},{field(case_id)},{dsc:.6f}\n"
+            f"{group_field(task_id)},{group_field(method_id)},"
+            f"{quote(case_id) if needs_quotes(case_id) else case_id},{dsc:.6f}\n"
             for task_id, method_id, case_id, dsc in rows
         )
 
@@ -193,6 +209,10 @@ def read_pairs_csv(path: "str | Path") -> list[TrainingPair]:
     for line_no, (mean_cell, sd_cell) in _read_rows(path, PAIRS_HEADER):
         mean = _parse_float(mean_cell, "dsc_mean_pct", path, line_no)
         sd = _parse_float(sd_cell, "sd_pct", path, line_no)
+        if not 0.0 <= mean <= 100.0:
+            raise DataFormatError(f"dsc_mean_pct must lie in [0, 100], got {mean}", path, line_no)
+        if sd <= 0.0:
+            raise DataFormatError(f"sd_pct must be > 0, got {sd}", path, line_no)
         out.append(TrainingPair(dsc_mean_pct=mean, sd_pct=sd))
     return out
 

@@ -11,16 +11,19 @@ platforms and any evaluation order.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
-
-import numpy as np
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from . import _Checked
 from .glm import TrainingPair
-from .rng import DOMAIN_CASES, DOMAIN_DEMO_CORPUS, gamma_sampler, substreams
 
+# numpy loads with segci.rng, inside the functions that draw: `segci fit`
+# aggregates per-case files without it.
 if TYPE_CHECKING:
+    import numpy as np
+
     from .corpus import PaperRecord
 
 __all__ = [
@@ -28,6 +31,7 @@ __all__ = [
     "ConstantFamily",
     "SimSpec",
     "CaseResult",
+    "SimulatedRows",
     "PairsResult",
     "sample_beta",
     "generate_results",
@@ -45,6 +49,8 @@ def sample_beta(a: float, b: float, rng: np.random.Generator) -> float:
 
 
 def _beta_sampler(a: float, b: float, rng: np.random.Generator) -> Callable[[], float]:
+    from .rng import gamma_sampler
+
     gamma_a = gamma_sampler(a, rng)
     gamma_b = gamma_sampler(b, rng)
 
@@ -102,6 +108,8 @@ class ConstantFamily(_Checked, _ConstantFamily):
 def parse_family(text: str) -> "BetaFamily | ConstantFamily":
     """Parse a family spec string: ``beta:a,b`` or ``constant:c``."""
     name, _, params = text.partition(":")
+    if "_" in params:  # float() reads "1_0" as 10
+        raise ValueError(f"family parameters must be plain numbers, got {text!r}")
     if name == "beta":
         parts = params.split(",")
         if len(parts) != 2:
@@ -144,6 +152,12 @@ class SimSpec(_Checked, _SimSpec):
     ):
         if min(n_tasks, methods_per_task, cases_per_task) < 1:
             raise ValueError("all SimSpec counts must be >= 1")
+        for t, m in exclude:
+            if not (0 <= t < n_tasks and 0 <= m < methods_per_task):
+                raise ValueError(
+                    f"excluded pair ({t}, {m}) lies outside tasks 0..{n_tasks - 1} "
+                    f"and methods 0..{methods_per_task - 1}"
+                )
         return super().__new__(cls, n_tasks, methods_per_task, cases_per_task, family, seed, exclude)
 
 
@@ -154,29 +168,52 @@ class CaseResult(NamedTuple):
     dsc: float
 
 
-def generate_results(spec: SimSpec) -> list[CaseResult]:
-    """Per-case DSC table, fully determined by the spec.
+class SimulatedRows:
+    """The rows of :func:`generate_results`, each drawn as it is iterated.
 
-    Case c of method m on task t draws ``spec.family.draw(streams(t, m, c))``
-    from one :func:`~segci.rng.substreams` generator; the family's sampler
-    is built once, since every reset returns that same generator.
+    ``len()`` counts them without drawing, so a writer such as
+    :func:`~segci.io.write_per_case_csv` can stream a simulation of any
+    size while holding one row at a time.
     """
-    excluded = set(spec.exclude)
-    streams = substreams(spec.seed, DOMAIN_CASES)
-    draw = spec.family.sampler(streams())
-    new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
-    case_ids = [f"case{c + 1:05d}" for c in range(spec.cases_per_task)]
-    rows: list[CaseResult] = []
-    for t in range(spec.n_tasks):
-        task_id = f"task{t + 1:02d}"
-        for m in range(spec.methods_per_task):
-            if (t, m) in excluded:
-                continue
-            method_id = f"method{m + 1:02d}"
-            for c, case_id in enumerate(case_ids):
-                streams(t, m, c)
-                rows.append(new_row(CaseResult, (task_id, method_id, case_id, draw())))
-    return rows
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: SimSpec):
+        self.spec = spec
+
+    def __len__(self) -> int:
+        spec = self.spec
+        groups = spec.n_tasks * spec.methods_per_task - len(set(spec.exclude))
+        return groups * spec.cases_per_task
+
+    def __iter__(self) -> Iterator[CaseResult]:
+        """Case c of method m on task t draws ``spec.family.draw(streams(t, m, c))``.
+
+        The draws come from one :func:`~segci.rng.substreams` generator; the
+        family's sampler is built once, since every reset returns that same
+        generator.
+        """
+        from .rng import DOMAIN_CASES, substreams
+
+        spec = self.spec
+        excluded = set(spec.exclude)
+        streams = substreams(spec.seed, DOMAIN_CASES)
+        draw = spec.family.sampler(streams())
+        new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
+        for t in range(spec.n_tasks):
+            task_id = f"task{t + 1:02d}"
+            for m in range(spec.methods_per_task):
+                if (t, m) in excluded:
+                    continue
+                method_id = f"method{m + 1:02d}"
+                for c in range(spec.cases_per_task):
+                    streams(t, m, c)
+                    yield new_row(CaseResult, (task_id, method_id, f"case{c + 1:05d}", draw()))
+
+
+def generate_results(spec: SimSpec) -> list[CaseResult]:
+    """Per-case DSC table, fully determined by the spec; see :class:`SimulatedRows`."""
+    return list(SimulatedRows(spec))
 
 
 class PairsResult(NamedTuple):
@@ -188,15 +225,17 @@ class PairsResult(NamedTuple):
     n_skipped_small: int
 
 
-def make_training_pairs(rows: Sequence[CaseResult]) -> PairsResult:
+def make_training_pairs(rows: Iterable[CaseResult]) -> PairsResult:
     """Aggregate per-case rows into (mean, SD) training pairs per group.
 
-    Grouping is by (task_id, method_id) in order of first appearance.
-    Groups with fewer than 2 cases cannot yield an SD and are skipped;
-    groups with zero SD are dropped because the Gamma response must be
-    strictly positive. Both kinds are counted in the result.
+    Grouping is by (task_id, method_id) in order of first appearance,
+    holding one ``array('d')`` of values per group, so ``rows`` may be a
+    stream such as :func:`~segci.io.iter_per_case_csv`. Groups with fewer
+    than 2 cases cannot yield an SD and are skipped; groups with zero SD
+    are dropped because the Gamma response must be strictly positive.
+    Both kinds are counted in the result.
     """
-    groups: defaultdict[tuple[str, str], list[float]] = defaultdict(list)
+    groups: defaultdict[tuple[str, str], array] = defaultdict(partial(array, "d"))
     for task_id, method_id, _, dsc in rows:
         groups[task_id, method_id].append(dsc)
 
@@ -249,19 +288,15 @@ def demo_corpus() -> list[PaperRecord]:
     """
     # corpus loads intervals and special, which simulate and fit do not need
     from .corpus import MethodResult, PaperRecord
+    from .rng import DOMAIN_DEMO_CORPUS, substreams
 
     streams = substreams(_DEMO_SEED, DOMAIN_DEMO_CORPUS)
     papers: list[PaperRecord] = []
     for i in range(_DEMO_N_PAPERS):
         rng = streams(i)
         m1 = round(float(rng.uniform(*_DEMO_MEAN_RANGE)), 6)
-        n = int(
-            np.clip(
-                round(float(rng.lognormal(math.log(_DEMO_N_MEDIAN), _DEMO_N_SIGMA))),
-                12,
-                2500,
-            )
-        )
+        n = round(float(rng.lognormal(math.log(_DEMO_N_MEDIAN), _DEMO_N_SIGMA)))
+        n = min(max(n, 12), 2500)
         delta = min(
             round(float(rng.lognormal(math.log(_DEMO_DELTA_MEDIAN), _DEMO_DELTA_SIGMA)), 6),
             _DEMO_DELTA_CAP,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -102,6 +103,27 @@ class TestFlags:
         code, _, err = run(capsys, *base_argv[command], flag, value)
         assert code == 1
         assert flag in err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("ci", "--mean", "0.9_0"), ("ci", "--n", "1_00"), ("ci", "--sd", "0.0_5"),
+        ("ci", "--alpha", "0.0_5"), ("calibrate", "--alpha", "0.0_5"),
+        ("calibrate", "--min-n", "2_0"), ("analyze", "--alpha", "0.0_5"),
+        ("simulate", "--tasks", "1_0"), ("simulate", "--methods", "1_0"),
+        ("simulate", "--cases", "1_0"), ("simulate", "--seed", "4_2"),
+        ("simulate", "--exclude", "1_0:2"), ("simulate", "--family", "beta:1_0,2"),
+    ])
+    def test_underscore_literal_refused(self, capsys, base_argv, command, flag, value):
+        # int("1_00") and float("0.0_5") read 100 and 0.05; the CSV readers refuse them too
+        code, out, err = run(capsys, *base_argv[command], flag, value)
+        assert code == 1
+        assert "error:" in err and repr(value) in err
+        assert out == ""
+
+    def test_no_flag_parses_with_bare_int_or_float(self):
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        actions = [a for p in subparsers.values() for a in p._actions if a.type not in (None, str)]
+        assert len(actions) == 11
+        assert all(a.type in (cli._INT, cli._FLOAT) for a in actions), actions
 
     @pytest.mark.parametrize("command, prefix, full", [
         ("simulate", ["--se", "5"], ["--seed", "5"]),
@@ -305,6 +327,23 @@ class TestFit:
         code, _, err = run(capsys, "fit", "--input", str(path), "--output", str(tmp_path / "m.json"))
         assert code == 2
         assert "line 11" in err and "'1_0'" in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("80.0,-1", "sd_pct must be > 0, got -1.0"),
+        ("80.0,0", "sd_pct must be > 0, got 0.0"),
+        ("170,5.0", "dsc_mean_pct must lie in [0, 100], got 170.0"),
+        ("-0.5,5.0", "dsc_mean_pct must lie in [0, 100], got -0.5"),
+    ], ids=["negative_sd", "zero_sd", "mean_170", "negative_mean"])
+    def test_out_of_range_pair(self, capsys, tmp_path, row, message):
+        # refused by the reader with its line, not later by the fit without one
+        path = tmp_path / "pairs.csv"
+        write_exact_fit_pairs(path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        code, _, err = run(capsys, "fit", "--input", str(path), "--output", str(tmp_path / "m.json"))
+        assert code == 2
+        assert f"line 11: {message}" in err
         assert not (tmp_path / "m.json").exists()
 
     def test_missing_file(self, capsys, tmp_path):
@@ -533,10 +572,47 @@ class TestSimulate:
         assert proc.returncode == 1
         assert "finite" in proc.stderr
 
+    @pytest.mark.parametrize("exclude", ["10:1", "1:2", "-1:0", "0:-1"])
+    def test_exclude_outside_the_grid(self, capsys, tmp_path, exclude):
+        # (10, 1) used to exclude nothing, silently
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, "simulate", "--output", str(out), "--tasks", "2",
+                           "--methods", "2", "--cases", "3", f"--exclude={exclude}")
+        assert code == 1
+        assert "error: excluded pair" in err and "tasks 0..1 and methods 0..1" in err
+        assert not out.exists()
+
     def test_bad_exclude(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--output", str(tmp_path / "x.csv"),
                          "--exclude", "nope")
         assert code == 1
+
+
+def peak_bytes(argv) -> int:
+    """The tracemalloc peak of one in-process ``main(argv)``, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_grows_with_groups_not_rows(capsys, tmp_path):
+    # 4k and 40k rows: 2 tasks of 4 methods with 500 and 5000 cases each.
+    # simulate holds one row at a time; fit holds the 8-byte dsc of each
+    # row, one array per group (the parent held ~130 bytes a row in both).
+    cases, model = str(tmp_path / "cases.csv"), str(tmp_path / "m.json")
+    main(["simulate", "--output", cases, "--tasks", "1", "--methods", "2", "--cases", "3"])
+    main(["fit", "--input", cases, "--output", model])  # the imports, outside the peaks
+    simulate, fit = {}, {}
+    for rows, n_cases in ((4000, "500"), (40000, "5000")):
+        simulate[rows] = peak_bytes(["simulate", "--output", cases, "--tasks", "2",
+                                     "--methods", "4", "--cases", n_cases])
+        fit[rows] = peak_bytes(["fit", "--input", cases, "--output", model])
+    capsys.readouterr()
+    assert simulate[40000] < 2 * simulate[4000], simulate
+    assert (fit[40000] - fit[4000]) / 36000 < 16, fit
 
 
 class TestUsage:

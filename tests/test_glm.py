@@ -34,7 +34,58 @@ def exact_fit_pairs() -> list[TrainingPair]:
     ]
 
 
+def numpy_irls(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """The IRLS of irls_gamma_log on numpy's (LAPACK) QR: coefficients, iterations."""
+    q, r = np.linalg.qr(design)
+    eta = np.log(y)
+    resid = np.zeros_like(y)
+    for iterations in range(1, 101):
+        gamma = q.T @ (eta + resid)
+        eta = q @ gamma
+        mu = np.exp(eta)
+        resid = (y - mu) / mu
+        if np.max(np.abs(q.T @ resid)) <= 1e-12:
+            break
+    return np.linalg.solve(r, gamma), iterations
+
+
 class TestIrls:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_numpy_qr_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(6, 200)), int(rng.integers(1, 5))
+        design = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        beta = rng.normal(scale=0.5, size=p)
+        y = np.exp(design @ beta) * rng.gamma(20.0, 1.0 / 20.0, size=n)
+        fit = irls_gamma_log(design, y)
+        want, iterations = numpy_irls(design, y)
+        assert fit.converged and fit.n_obs == n
+        assert abs(fit.iterations - iterations) <= 1
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(np.asarray(fit.coefficients) - want)) <= 1e-12 * scale
+
+    def test_overflowing_fit_refused(self):
+        # numpy's exp overflowed to inf here, and the fit returned NaN coefficients
+        with pytest.raises(ArithmeticError, match="overflowed at step 2"):
+            irls_gamma_log([[1.0, float(i)] for i in range(4)], [1e300, 1.0, 1e308, 2.0])
+
+    def test_accepts_lists(self):
+        design = [[1.0, x, x * x] for x in (10.0, 20.0, 30.0, 45.0, 60.0)]
+        y = [3.0, 4.0, 4.5, 6.0, 5.5]
+        assert irls_gamma_log(design, y) == irls_gamma_log(np.array(design), np.array(y))
+
+    @pytest.mark.parametrize("design, y", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        ([[1.0, 2.0], [1.0]], [1.0, 2.0]),
+        ([[1.0, 2.0], [1.0, 3.0]], [1.0, 2.0, 3.0]),
+        ([], []),
+        ([[], []], [1.0, 2.0]),
+    ], ids=["one_dimensional", "ragged", "length_mismatch", "empty", "no_columns"])
+    def test_shape_refused(self, design, y):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            irls_gamma_log(design, y)
+
+
     def test_intercept_only_recovers_log_mean(self):
         # The score equation sum(y / mu - 1) = 0 forces mu = mean(y).
         fit = irls_gamma_log(np.ones((3, 1)), np.array([1.0, 2.0, 3.0]))

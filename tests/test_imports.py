@@ -1,11 +1,11 @@
 """Import hygiene: each command loads only its own layers.
 
-``import segci``, ``segci ci``, ``calibrate`` and ``analyze`` never load
-numpy; ``simulate`` and ``fit`` never load the special functions, the
-interval and corpus layers or the descriptive statistics. The commands
-that run without numpy (which loads ``inspect`` itself) load neither
-``dataclasses`` nor ``inspect``, and ``segci ci`` reads no CSV, so it
-loads neither ``csv`` nor ``segci.io``.
+``import segci``, ``segci ci``, ``calibrate``, ``analyze`` and ``fit``
+never load numpy; ``simulate`` and ``fit`` never load the special
+functions, the interval and corpus layers or the descriptive statistics.
+The commands that run without numpy (which loads ``inspect`` itself)
+load neither ``dataclasses`` nor ``inspect``, and ``segci ci`` reads no
+CSV, so it loads neither ``csv`` nor ``segci.io``.
 """
 
 import importlib
@@ -127,6 +127,19 @@ def test_simulate_and_fit_skip_aggregate_layers(tmp_path):
         loaded = loaded_after(argv, tmp_path)
         for module in ("special", "intervals", "corpus", "descriptive"):
             assert f"segci.{module}" not in loaded, (argv[0], module)
+
+
+def test_fit_skips_numpy(tmp_path):
+    # the per-case aggregate and the IRLS are pure Python; only simulate draws
+    cases = [f"t,m{m},c{c},{0.5 + 0.04 * m + 0.01 * (c % 3)}" for m in range(5) for c in range(4)]
+    pairs = [f"{x},{2 + x / 10 + (x % 3)}" for x in range(10, 90, 10)]
+    (tmp_path / "cases.csv").write_text("\n".join(["task_id,method_id,case_id,dsc", *cases, ""]))
+    (tmp_path / "pairs.csv").write_text("\n".join(["dsc_mean_pct,sd_pct", *pairs, ""]))
+    for name in ("cases.csv", "pairs.csv"):
+        loaded = loaded_after(["fit", "--input", name, "--output", "m.json"], tmp_path)
+        skipped = {"numpy", "segci.rng", *INTROSPECTION}
+        assert not loaded & skipped, (name, sorted(loaded & skipped))
+        assert "segci.glm" in loaded
 
 
 def test_every_public_name_resolves():

@@ -191,6 +191,26 @@ class TestBootstrapCi:
         with pytest.raises(ValueError):
             bootstrap_ci([0.5, 0.6], n_resamples=50, seed=1)
 
+    @pytest.mark.parametrize("alpha, smallest", [(1e-6, 1_999_999), (1e-12, 1_999_999_999_999),
+                                                 (0.001, 1999)])
+    def test_rejects_alpha_too_small_for_resamples(self, alpha, smallest):
+        # 1e-6 and 1e-12 used to give (0.34075, 0.66802) and (0.34075, 0.66804) here:
+        # next to the smallest and largest resample means, whatever alpha is
+        values = [float(v) for v in np.random.default_rng(3).uniform(size=30)]
+        with pytest.raises(ValueError, match=f"n_resamples=1000: .* use n_resamples >= {smallest}$"):
+            bootstrap_ci(values, alpha=alpha, n_resamples=1000, seed=1)
+        with pytest.raises(ValueError, match=f"n_resamples=1000: .* use n_resamples >= {smallest}$"):
+            bootstrap_ci([0.5] * 30, alpha=alpha, n_resamples=1000, seed=1)
+
+    def test_smallest_resample_count_named_is_accepted(self):
+        values = [0.1, 0.5, 0.7, 0.9]
+        with pytest.raises(ValueError, match="n_resamples=1998: .* use n_resamples >= 1999$"):
+            bootstrap_ci(values, alpha=0.001, n_resamples=1998, seed=1)
+        ci = bootstrap_ci(values, alpha=0.001, n_resamples=1999, seed=1)
+        assert ci.lower <= ci.upper
+        with pytest.raises(ValueError, match="use a larger alpha"):
+            bootstrap_ci(values, alpha=5e-324, n_resamples=1999, seed=1)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):

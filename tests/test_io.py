@@ -1,23 +1,26 @@
 import csv
 import io
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import segci
-from segci import CaseResult, SimSpec, generate_results
+from segci import CaseResult, SimSpec, generate_results, make_training_pairs
 from segci.io import (
     PER_CASE_HEADER,
     DataFormatError,
     detect_training_format,
+    iter_per_case_csv,
     read_calibration_csv,
     read_corpus_csv,
     read_pairs_csv,
     read_per_case_csv,
     write_per_case_csv,
 )
+from test_simulate import summarize_pairs
 
 
 def test_data_format_error_is_the_package_root_class():
@@ -91,6 +94,21 @@ def test_pairs_csv(tmp_path):
     pairs = read_pairs_csv(path)
     assert len(pairs) == 2
     assert pairs[0].dsc_mean_pct == 80.0
+
+
+@pytest.mark.parametrize("row, message", [
+    ("80.0,-1", "sd_pct must be > 0, got -1.0"),
+    ("80.0,0", "sd_pct must be > 0, got 0.0"),
+    ("80.0,-0.0", "sd_pct must be > 0, got -0.0"),
+    ("170,5.0", "dsc_mean_pct must lie in [0, 100], got 170.0"),
+    ("-1e-9,5.0", "dsc_mean_pct must lie in [0, 100], got -1e-09"),
+])
+def test_pairs_csv_range(tmp_path, row, message):
+    path = tmp_path / "pairs.csv"
+    path.write_text(f"dsc_mean_pct,sd_pct\n0,1e-300\n100,5\n{row}\n")
+    with pytest.raises(DataFormatError, match=re.escape(message)) as info:
+        read_pairs_csv(path)
+    assert info.value.line == 4
 
 
 def test_corpus_csv_grouping(tmp_path):
@@ -372,6 +390,69 @@ def test_pairs_reader_fuzz(tmp_path, rows):
     pairs = read_or_refuse(read_pairs_csv, path)
     if pairs is not None:
         assert len(pairs) == sum(1 for row in rows if row.replace(",", "").strip())
-        # the reader takes any finite pair; fit_gamma_log_glm checks the ranges
         for mean, sd in pairs:
-            assert math.isfinite(mean) and math.isfinite(sd)
+            assert 0.0 <= mean <= 100.0 and 0.0 < sd < math.inf
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_rows(PER_CASE_CELLS))
+def test_per_case_stream_reader_fuzz(tmp_path, rows):
+    # the streamed reader reads and refuses exactly as the list reader does
+    path = tmp_path / "cases.csv"
+    path.write_text("\n".join([",".join(PER_CASE_HEADER), *rows]) + "\n")
+    try:
+        want = read_per_case_csv(path)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as info:
+            list(iter_per_case_csv(path))
+        assert str(info.value) == str(exc) and info.value.line == exc.line
+        return
+    assert list(iter_per_case_csv(path)) == [tuple(row) for row in want]
+
+
+# Ids that need quoting or stripping: a task or method id read with and
+# without its padding is one group.
+GROUP_IDS = ["t", " t ", "t ", "a,b", 'say "hi"', "cr\rid", "two\nlines", "", "tab\tid"]
+BLANK_ROWS = ["", " , , , ", ",", "  "]
+group_values = st.one_of(
+    st.builds(lambda v, n: [v] * n, st.floats(0.0, 1.0), st.integers(1, 6)),  # constant or single
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 0.333333]), min_size=1, max_size=6),
+)
+
+
+def csv_line(fields) -> str:
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\r\n").writerow(fields)  # "\r\n" quotes a "\r" id
+    return text.getvalue()[:-2] + "\n"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(st.tuples(st.sampled_from(GROUP_IDS), st.sampled_from(GROUP_IDS), group_values),
+             min_size=1, max_size=8),
+    st.lists(st.sampled_from(BLANK_ROWS), max_size=4),
+    st.sampled_from(["{:.6f}", "{!r}"]),
+    st.randoms(use_true_random=False),
+)
+def test_streamed_aggregate_matches_row_path(tmp_path, groups, blanks, number, rand):
+    lines = [
+        csv_line([task, method, f"c{i}", number.format(value)])
+        for task, method, values in groups
+        for i, value in enumerate(values)
+    ]
+    lines += [blank + "\n" for blank in blanks]
+    rand.shuffle(lines)
+    path = tmp_path / "cases.csv"
+    path.write_text(",".join(PER_CASE_HEADER) + "\n" + "".join(lines), encoding="utf-8")
+
+    def by_hex(result):
+        pairs = [(p.dsc_mean_pct.hex(), p.sd_pct.hex()) for p in result.pairs]
+        return pairs, result.n_groups, result.n_dropped_zero_sd, result.n_skipped_small
+
+    got = by_hex(make_training_pairs(iter_per_case_csv(path)))
+    assert got == by_hex(make_training_pairs(read_per_case_csv(path)))
+    pairs, dropped, skipped = summarize_pairs(read_per_case_csv(path))
+    assert (got[0], got[2], got[3]) == (pairs, dropped, skipped)

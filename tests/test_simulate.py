@@ -13,6 +13,7 @@ from segci import (
     CaseResult,
     ConstantFamily,
     SimSpec,
+    SimulatedRows,
     demo_corpus,
     generate_results,
     make_training_pairs,
@@ -220,6 +221,25 @@ class TestGenerateResults:
             BetaFamily(1.0, -1.0)
         with pytest.raises(ValueError):
             ConstantFamily(1.5)
+
+    @pytest.mark.parametrize("pair", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_exclude_outside_the_grid_refused(self, pair):
+        with pytest.raises(ValueError, match=rf"excluded pair \({pair[0]}, {pair[1]}\) lies outside"):
+            SimSpec(n_tasks=2, methods_per_task=3, exclude=((0, 0), pair))
+
+    @pytest.mark.parametrize("text", ["beta:1_0,2", "beta:2,0.5_0", "constant:0.8_0"])
+    def test_family_underscore_literal_refused(self, text):
+        # float("1_0") reads 10
+        with pytest.raises(ValueError, match="plain numbers"):
+            parse_family(text)
+
+    @pytest.mark.parametrize("exclude", [(), ((0, 1), (2, 0)), ((1, 1), (1, 1))])
+    def test_simulated_rows_are_generate_results(self, exclude):
+        spec = SimSpec(n_tasks=3, methods_per_task=2, cases_per_task=4, seed=5, exclude=exclude)
+        rows = SimulatedRows(spec)
+        assert len(rows) == len(generate_results(spec))
+        assert list(rows) == generate_results(spec)
+        assert list(rows) == list(rows)  # each iteration draws afresh
 
 
 class TestMakeTrainingPairs:
