@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 # aggregate path (parametric_ci, approximate_sd) never loads numpy.
 _EXPORTS = {
     "calibration": (
-        "CalibrationRecord", "CalibrationSummary", "CalibrationTable", "calibrate",
-        "export_calibration_points", "write_calibration_csv",
+        "CalibrationRecord", "CalibrationSummary", "calibrate", "write_calibration_csv",
     ),
     "corpus": (
         "CorpusSummary", "MethodResult", "PaperAnalysis", "PaperRecord", "analyze_corpus",

@@ -20,9 +20,7 @@ from .intervals import AggregateReport, approximate_sd, parametric_ci
 __all__ = [
     "CalibrationRecord",
     "CalibrationSummary",
-    "CalibrationTable",
     "calibrate",
-    "export_calibration_points",
     "write_calibration_csv",
 ]
 
@@ -140,21 +138,6 @@ def calibrate(
             iqr_abs_width_diff=None,
         )
     return records, summary
-
-
-class CalibrationTable(NamedTuple):
-    """Scatter-plot data: one (predicted_width, observed_width, n) row per record."""
-
-    rows: tuple[tuple[float, float, int], ...]
-    # Reference line for the plot; perfect calibration falls on y = x.
-    identity_line: bool = True
-
-
-def export_calibration_points(records: Sequence[CalibrationRecord]) -> CalibrationTable:
-    """Rows for the calibration scatter plot, preserving record order."""
-    return CalibrationTable(
-        rows=tuple((r.predicted_width, r.observed_width, r.n) for r in records)
-    )
 
 
 def write_calibration_csv(records: Sequence[CalibrationRecord], path: "str | Path") -> None:

@@ -226,17 +226,7 @@ def _cmd_calibrate(args) -> int:
     results = sio.read_calibration_csv(args.input)
     records, summary = cal.calibrate(results, _load_model(args), args.alpha, args.min_n)
     cal.write_calibration_csv(records, args.points)
-    doc = {
-        "schema": REPORT_SCHEMA_VERSION,
-        "n_records": summary.n_records,
-        "n_after_filter": summary.n_after_filter,
-        "min_n_filter": summary.min_n_filter,
-        "median_width_diff": summary.median_width_diff,
-        "iqr_width_diff": summary.iqr_width_diff,
-        "median_abs_width_diff": summary.median_abs_width_diff,
-        "iqr_abs_width_diff": summary.iqr_abs_width_diff,
-    }
-    _dump_json(doc, args.summary)
+    _dump_json({"schema": REPORT_SCHEMA_VERSION, **summary._asdict()}, args.summary)
     if summary.empty:
         print(
             f"error: no records with n > {args.min_n}; summary is empty",
@@ -247,13 +237,6 @@ def _cmd_calibrate(args) -> int:
     print(f"iqr_width_diff: ({summary.iqr_width_diff[0]:.6f}, {summary.iqr_width_diff[1]:.6f})")
     print(f"records: {summary.n_after_filter}/{summary.n_records} after n > {args.min_n} filter")
     return EXIT_OK
-
-
-def _summary_doc(s) -> dict:
-    return {
-        "n": s.n, "mean": s.mean, "sd": s.sd, "median": s.median,
-        "q1": s.q1, "q3": s.q3, "min": s.min, "max": s.max,
-    }
 
 
 def _five_number(s) -> dict:
@@ -274,9 +257,9 @@ def _cmd_analyze(args) -> int:
         "n_papers": summary.n_papers,
         "n_with_runner_up": summary.n_with_runner_up,
         "overlap_fraction": summary.overlap_fraction,
-        "width": _summary_doc(summary.width),
-        "delta": _summary_doc(summary.delta) if summary.delta is not None else None,
-        "ratio": _summary_doc(summary.ratio) if summary.ratio is not None else None,
+        "width": summary.width._asdict(),
+        "delta": summary.delta._asdict() if summary.delta is not None else None,
+        "ratio": summary.ratio._asdict() if summary.ratio is not None else None,
         "boxplots": {
             panel: _five_number(s)
             for panel, s in (("width", summary.width), ("delta", summary.delta),

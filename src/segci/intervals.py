@@ -135,6 +135,8 @@ def parametric_ci(
         clipped_upper = min(1.0, upper)
         clamped = clipped_lower != lower or clipped_upper != upper
         lower, upper = clipped_lower, clipped_upper
+    elif not math.isfinite(upper - lower):
+        raise ValueError(f"unclamped interval overflows: sd={sd} at n={n} gives an infinite width")
     return ConfidenceInterval(lower, upper, alpha, PARAMETRIC_T, clamped)
 
 

@@ -18,7 +18,6 @@ import functools
 import math
 import re
 from pathlib import Path
-from sys import intern
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import DataFormatError
@@ -34,7 +33,6 @@ __all__ = [
     "PAIRS_HEADER",
     "CORPUS_HEADER",
     "CALIBRATION_HEADER",
-    "read_per_case_csv",
     "iter_per_case_csv",
     "write_per_case_csv",
     "read_pairs_csv",
@@ -159,18 +157,6 @@ def iter_per_case_csv(path: "str | Path") -> Iterator[tuple[str, str, str, float
             yield task_id.strip(), method_id.strip(), case_id.strip(), dsc
     if not found:
         raise DataFormatError("no data rows", path)
-
-
-def read_per_case_csv(path: "str | Path") -> list[CaseResult]:
-    # imported here: calibrate and analyze read their CSVs without simulate
-    from .simulate import CaseResult
-
-    new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
-    # interned: a file repeats each id many times, and its rows share one copy
-    return [
-        new_row(CaseResult, (intern(task_id), intern(method_id), intern(case_id), dsc))
-        for task_id, method_id, case_id, dsc in iter_per_case_csv(path)
-    ]
 
 
 class _Echo:

@@ -43,22 +43,7 @@ __all__ = [
 
 def sample_beta(a: float, b: float, rng: np.random.Generator) -> float:
     """One Beta(a, b) draw as the ratio X / (X + Y) of two Gamma variates."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
-    return _beta_sampler(a, b, rng)()
-
-
-def _beta_sampler(a: float, b: float, rng: np.random.Generator) -> Callable[[], float]:
-    from .rng import gamma_sampler
-
-    gamma_a = gamma_sampler(a, rng)
-    gamma_b = gamma_sampler(b, rng)
-
-    def draw() -> float:
-        x = gamma_a()
-        return x / (x + gamma_b())
-
-    return draw
+    return BetaFamily(a, b).draw(rng)
 
 
 class _BetaFamily(NamedTuple):
@@ -67,10 +52,25 @@ class _BetaFamily(NamedTuple):
 
     def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
         """Zero-argument draw from ``rng``'s current state; see :func:`gamma_sampler`."""
-        return _beta_sampler(self.a, self.b, rng)
+        from .rng import gamma_sampler
+
+        gamma_a = gamma_sampler(self.a, rng)
+        gamma_b = gamma_sampler(self.b, rng)
+
+        def draw() -> float:
+            x, y = gamma_a(), gamma_b()
+            try:
+                return x / (x + y)
+            except ZeroDivisionError:
+                raise ArithmeticError(
+                    f"beta:{self.a!r},{self.b!r} cannot be drawn: both Gamma variates "
+                    "underflowed to 0"
+                ) from None
+
+        return draw
 
     def draw(self, rng: np.random.Generator) -> float:
-        return sample_beta(self.a, self.b, rng)
+        return self.sampler(rng)()
 
 
 class BetaFamily(_Checked, _BetaFamily):

@@ -7,7 +7,6 @@ import pytest
 
 from segci import (
     calibrate,
-    export_calibration_points,
     paper_model,
     parametric_ci,
     predict_sd_pct,
@@ -100,16 +99,6 @@ def test_all_filtered_marks_summary_empty():
     assert summary.iqr_width_diff is None
 
 
-def test_export_preserves_order_and_counts():
-    records, _ = calibrate(perfect_results(), MODEL)
-    table = export_calibration_points(records)
-    assert len(table.rows) == len(records)
-    assert table.identity_line
-    for row, record in zip(table.rows, records):
-        assert row == (record.predicted_width, record.observed_width, record.n)
-    assert export_calibration_points([]).rows == ()
-
-
 def test_csv_output(tmp_path):
     records, _ = calibrate([("liver", "unet", 100, 0.90, 0.10)], MODEL)
     path = tmp_path / "points.csv"
@@ -125,8 +114,8 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow(["predicted_width", "observed_width", "n"])
-    for predicted, observed, n in export_calibration_points(records).rows:
-        writer.writerow([f"{predicted:.6f}", f"{observed:.6f}", n])
+    for r in records:
+        writer.writerow([f"{r.predicted_width:.6f}", f"{r.observed_width:.6f}", r.n])
     path = tmp_path / "points.csv"
     write_calibration_csv(records, path)
     assert path.read_bytes() == want.getvalue().encode("utf-8")

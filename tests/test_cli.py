@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from segci import cli
 from segci.cli import _dump_json, bundled_demo_corpus_path, main
@@ -254,6 +257,16 @@ class TestCi:
         assert err.startswith("error: t quantile did not converge")
         assert "Traceback" not in err
 
+    def test_unclamped_overflow_is_error(self, capsys):
+        # the interval was (-inf, inf), and the JSON encoder refused it
+        argv = ["ci", "--mean", "0.5", "--n", "2", "--sd", "1e308"]
+        code, out, err = run(capsys, *argv, "--no-clamp")
+        assert (code, out) == (1, "")
+        assert err == "error: unclamped interval overflows: sd=1e+308 at n=2 gives an infinite width\n"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert (json.loads(out)["lower"], json.loads(out)["upper"]) == (0.0, 1.0)
+
     @pytest.mark.parametrize("exc", [ArithmeticError, OverflowError, ZeroDivisionError])
     def test_arithmetic_error_is_exit_1(self, capsys, monkeypatch, exc):
         def fail(args):
@@ -391,6 +404,46 @@ class TestCalibrate:
         assert code == 2
         assert "line 3" in err and "observed_sd" in err
 
+    @staticmethod
+    def write_generated_input(path):
+        # 200 aggregates: 20 tasks of 10 methods, n from 2 to 299 and
+        # observed SDs both under and over the model's prediction
+        lines = ["task_id,method_id,n,mean_dsc,observed_sd"]
+        for i in range(200):
+            n = 2 + (i * 37) % 298
+            mean = 0.55 + 0.44 * ((i * 53) % 200) / 199
+            sd = 0.01 + 0.2 * ((i * 71) % 200) / 199
+            lines.append(f"task{i // 10},m{i % 10},{n},{mean!r},{sd!r}")
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "flags, code, summary_digest, points_digest",
+        [
+            ([], 0,
+             "e38e3f0181f479e03fb56e3d140bc1d73c21be39304d1a72b5d9d7b9df512799",
+             "a2664d526112af661ec73f77e14d836bdd3a983ebabb5f771fc2bd3ee799a9b4"),
+            (["--alpha", "0.1", "--min-n", "100"], 0,
+             "ec95ceb87098fc9785c8a2f95cb42020729673052a409301a17cb656f14eaa6e",
+             "2077d8f0782d4b4cf9ca9bba568aa6d8584f99290c7c1dd727afb25de45d8ddf"),
+            # every n is at most 299: the summary is empty, and the run exits 2
+            (["--min-n", "300"], 2,
+             "152ebf83a450f90e1266f4ff265b38aab34ca670c0770304b61f916928147fae",
+             "a2664d526112af661ec73f77e14d836bdd3a983ebabb5f771fc2bd3ee799a9b4"),
+        ],
+        ids=["default", "alpha_0.1_min_n_100", "min_n_300_empty"],
+    )
+    def test_output_bytes_pinned(self, capsys, tmp_path, flags, code, summary_digest,
+                                 points_digest):
+        # frozen summary JSON and points CSV bytes for a generated input
+        src, summary, points = tmp_path / "cal.csv", tmp_path / "s.json", tmp_path / "p.csv"
+        self.write_generated_input(src)
+        got, _, err = run(capsys, "calibrate", "--input", str(src), "--summary", str(summary),
+                          "--points", str(points), *flags)
+        assert got == code
+        assert ("summary is empty" in err) == (code == 2)
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_digest
+        assert hashlib.sha256(points.read_bytes()).hexdigest() == points_digest
+
 
 class TestAnalyze:
     def test_two_paper_fixture(self, capsys, tmp_path):
@@ -476,6 +529,17 @@ class TestAnalyze:
                          "--output", str(out), *flags)
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_unclamped_overflow_is_error(self, capsys, tmp_path):
+        src, out = tmp_path / "corpus.csv", tmp_path / "report.json"
+        src.write_text("paper_id,method_id,mean_dsc,test_n,sd\np1,a,0.9,2,1e308\np1,b,0.8,2,\n")
+        code, _, err = run(capsys, "analyze", "--input", str(src), "--output", str(out),
+                           "--no-clamp")
+        assert code == 1
+        assert err.startswith("error: unclamped interval overflows: sd=1e+308 at n=2")
+        assert not out.exists()
+        assert run(capsys, "analyze", "--input", str(src), "--output", str(out))[0] == 0
+        assert json.loads(out.read_text())["papers"][0]["ci_width"] == 1.0
 
     def test_malformed_corpus(self, capsys, tmp_path):
         src = tmp_path / "corpus.csv"
@@ -572,6 +636,15 @@ class TestSimulate:
         assert proc.returncode == 1
         assert "finite" in proc.stderr
 
+    def test_beta_underflow_is_error(self, capsys, tmp_path):
+        # both Gamma variates of some draw round to 0: x / (x + y) divided by zero
+        code, out, err = run(capsys, "simulate", "--output", str(tmp_path / "z.csv"),
+                             "--family", "beta:0.005,0.005", "--tasks", "2", "--methods", "2",
+                             "--cases", "2000")
+        assert (code, out) == (1, "")
+        assert err == ("error: beta:0.005,0.005 cannot be drawn: both Gamma variates "
+                       "underflowed to 0\n")
+
     @pytest.mark.parametrize("exclude", ["10:1", "1:2", "-1:0", "0:-1"])
     def test_exclude_outside_the_grid(self, capsys, tmp_path, exclude):
         # (10, 1) used to exclude nothing, silently
@@ -613,6 +686,89 @@ def test_memory_grows_with_groups_not_rows(capsys, tmp_path):
     capsys.readouterr()
     assert simulate[40000] < 2 * simulate[4000], simulate
     assert (fit[40000] - fit[4000]) / 36000 < 16, fit
+
+
+# Values every numeric flag must refuse or read as documented:
+# non-finite and overflowing numbers, empty and blank text, underscore
+# literals, and values at or just outside each flag's range.
+FLAG_FUZZ = ["nan", "inf", "-inf", "1e400", "1e308", "", " ", "1_0", "0_5", "-1", "0", "1e-300"]
+FAMILY_FUZZ = (
+    [f"beta:{v},2" for v in FLAG_FUZZ] + [f"beta:2,{v}" for v in FLAG_FUZZ]
+    + [f"constant:{v}" for v in FLAG_FUZZ] + ["beta:0.005,0.005", "beta:8", "beta:"]
+)
+# Each fuzzed command's flags, with values it accepts; --tasks and
+# --cases stay small, so that each run takes milliseconds.
+FUZZ_FLAGS = {
+    "ci": {"--mean": ["0.9", "1"], "--n": ["2", "100"], "--sd": ["0.05", "0", "1e308"],
+           "--alpha": ["0.05", "0.5"]},
+    "calibrate": {"--alpha": ["0.05", "0.5"], "--min-n": ["0", "20"]},
+    "analyze": {"--alpha": ["0.05", "0.5"]},
+    "simulate": {"--tasks": ["1", "2"], "--cases": ["1", "3"], "--family": ["beta:8,2"]},
+}
+
+# A run per command that its fuzz always tries: the ci run used to fail
+# with the JSON encoder's message, the others reach the widest intervals
+# and a Beta draw that underflows.
+FUZZ_EXAMPLES = {
+    "ci": ["--mean", "0.5", "--n", "2", "--sd", "1e308", "--no-clamp"],
+    "calibrate": ["--alpha", "1e-300"],
+    "analyze": ["--alpha", "1e-300", "--no-clamp"],
+    "simulate": ["--family", "beta:1e-300,1e-300"],
+}
+
+
+def fuzzed_argv(command):
+    """Every flag of ``command``, each as likely valid as fuzzed, and --no-clamp or not."""
+    fuzz = {"--family": FAMILY_FUZZ}
+    values = st.fixed_dictionaries({
+        flag: st.sampled_from(valid) | st.sampled_from(fuzz.get(flag, FLAG_FUZZ))
+        for flag, valid in FUZZ_FLAGS[command].items()
+    })
+    no_clamp = st.booleans() if command in ("ci", "analyze") else st.just(False)
+    return st.tuples(values, no_clamp).map(
+        lambda drawn: [x for item in drawn[0].items() for x in item]
+        + (["--no-clamp"] if drawn[1] else [])
+    )
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_FLAGS))
+def test_numeric_flag_fuzz(capsys, tmp_path, command):
+    # each run exits 0 with finite output, or 1 or 2 with one error line
+    cal = tmp_path / "cal.csv"
+    cal.write_text("task_id,method_id,n,mean_dsc,observed_sd\n"
+                   "t,m,2,0.8,0.3\nt,m2,30,0.9,0.05\nt2,m,100,0.7,0.2\n")
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_text("paper_id,method_id,mean_dsc,test_n,sd\n"
+                      "p1,a,0.91,2,0.4\np1,b,0.90,2,\np2,a,0.9,100,\np2,b,0.85,100,0.1\n")
+    outputs = [tmp_path / name for name in ("s.json", "p.csv", "r.json", "c.csv")]
+    files = {
+        "ci": [],
+        "calibrate": ["--input", str(cal), "--summary", str(outputs[0]),
+                      "--points", str(outputs[1])],
+        "analyze": ["--input", str(corpus), "--output", str(outputs[2])],
+        "simulate": ["--output", str(outputs[3])],
+    }[command]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fuzzed_argv(command))
+    @example(FUZZ_EXAMPLES[command])
+    def check(flags):
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        code, out, err = run(capsys, command, *files, *flags)
+        assert "Traceback" not in err
+        if code == 0:
+            assert "error:" not in err
+            written = [out] + [path.read_text() for path in outputs if path.exists()]
+            for text in written:
+                assert not re.search(r"NaN|Infinity|\binf\b|\bnan\b", text), (flags, text)
+        else:
+            assert code in (1, 2), (flags, code)
+            assert out == ""
+            assert sum("error:" in line for line in err.splitlines()) == 1, (flags, err)
+
+    check()
 
 
 class TestUsage:

@@ -21,7 +21,7 @@ from segci import (
     save_model,
     sd_upper_bound_pct,
 )
-from segci.io import read_per_case_csv, write_per_case_csv
+from segci.io import iter_per_case_csv, write_per_case_csv
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
 
@@ -177,7 +177,7 @@ class TestIrls:
         # rule measured on X's scale never passed here.
         cases = tmp_path / "cases.csv"
         write_per_case_csv(generate_results(SimSpec(cases_per_task=500, seed=3)), cases)
-        pairs = make_training_pairs(read_per_case_csv(cases)).pairs
+        pairs = make_training_pairs(iter_per_case_csv(cases)).pairs
         fit = fit_gamma_log_glm(pairs)
         assert fit.converged
         assert fit.iterations <= 10

@@ -114,6 +114,13 @@ class TestParametricCi:
         with pytest.raises(ValueError):
             parametric_ci(0.5, 0.1, 10, alpha=1.5)
 
+    def test_unclamped_overflow_refused(self):
+        # t(0.975, 1) * 1e308 / sqrt(2) overflows: the interval was (-inf, inf)
+        with pytest.raises(ValueError, match=r"overflows: sd=1e\+308 at n=2"):
+            parametric_ci(0.5, 1e308, 2, clamp=False)
+        clamped = parametric_ci(0.5, 1e308, 2)
+        assert (clamped.lower, clamped.upper, clamped.clamped) == (0.0, 1.0, True)
+
     @pytest.mark.parametrize("mean,sd,alpha", [
         (math.nan, 0.1, 0.05), (math.inf, 0.1, 0.05), (-math.inf, 0.1, 0.05),
         (0.5, math.nan, 0.05), (0.5, math.inf, 0.05),

@@ -17,7 +17,6 @@ from segci.io import (
     read_calibration_csv,
     read_corpus_csv,
     read_pairs_csv,
-    read_per_case_csv,
     write_per_case_csv,
 )
 from test_simulate import summarize_pairs
@@ -33,11 +32,11 @@ def test_per_case_roundtrip(tmp_path):
     rows = generate_results(SimSpec(n_tasks=2, methods_per_task=2, cases_per_task=5, seed=3))
     path = tmp_path / "cases.csv"
     write_per_case_csv(rows, path)
-    loaded = read_per_case_csv(path)
+    loaded = list(iter_per_case_csv(path))
     assert len(loaded) == len(rows)
-    for got, want in zip(loaded, rows):
-        assert got.task_id == want.task_id
-        assert got.dsc == pytest.approx(want.dsc, abs=5e-7)  # 6-decimal file precision
+    for (task_id, _, _, dsc), want in zip(loaded, rows):
+        assert task_id == want.task_id
+        assert dsc == pytest.approx(want.dsc, abs=5e-7)  # 6-decimal file precision
 
 
 def test_detect_format(tmp_path):
@@ -68,14 +67,14 @@ def test_header_only_per_case(tmp_path):
     path = tmp_path / "cases.csv"
     path.write_text("task_id,method_id,case_id,dsc\n")
     with pytest.raises(DataFormatError):
-        read_per_case_csv(path)
+        list(iter_per_case_csv(path))
 
 
 def test_bad_number_reports_line(tmp_path):
     path = tmp_path / "cases.csv"
     path.write_text("task_id,method_id,case_id,dsc\nt,m,c,0.5\nt,m,c2,oops\n")
     with pytest.raises(DataFormatError) as info:
-        read_per_case_csv(path)
+        list(iter_per_case_csv(path))
     assert info.value.line == 3
     assert "dsc" in str(info.value)
 
@@ -84,7 +83,7 @@ def test_out_of_range_dsc(tmp_path):
     path = tmp_path / "cases.csv"
     path.write_text("task_id,method_id,case_id,dsc\nt,m,c,1.5\n")
     with pytest.raises(DataFormatError) as info:
-        read_per_case_csv(path)
+        list(iter_per_case_csv(path))
     assert info.value.line == 2
 
 
@@ -203,7 +202,7 @@ def test_corpus_and_per_case_reject_non_finite(tmp_path, token):
     cases = tmp_path / "cases.csv"
     cases.write_text(f"task_id,method_id,case_id,dsc\nt,m,c,{token}\n")
     with pytest.raises(DataFormatError) as info:
-        read_per_case_csv(cases)
+        list(iter_per_case_csv(cases))
     assert info.value.line == 2
 
 
@@ -237,7 +236,7 @@ def test_per_case_quoted_ids_round_trip(tmp_path):
     rows = [CaseResult(t, "m", "c", 0.25) for t in ODD_IDS if t.strip() == t]
     path = tmp_path / "cases.csv"
     write_per_case_csv(rows, path)
-    assert read_per_case_csv(path) == rows
+    assert list(iter_per_case_csv(path)) == rows
 
 
 def test_per_case_carriage_return_id_round_trips(tmp_path):
@@ -246,13 +245,13 @@ def test_per_case_carriage_return_id_round_trips(tmp_path):
     path = tmp_path / "cases.csv"
     write_per_case_csv(rows, path)
     assert path.read_bytes() == b'task_id,method_id,case_id,dsc\n"cr\rid",m,c,0.500000\n'
-    assert read_per_case_csv(path) == rows
+    assert list(iter_per_case_csv(path)) == rows
 
 
 # A quoted id that holds a line break puts every later record one line
 # further down the file than its record count.
 MULTILINE_FIRST_ROW = {
-    read_per_case_csv: ("task_id,method_id,case_id,dsc\n", '"two\nlines",m,c,0.5\n', "t,m,c,oops\n"),
+    iter_per_case_csv: ("task_id,method_id,case_id,dsc\n", '"two\nlines",m,c,0.5\n', "t,m,c,oops\n"),
     read_pairs_csv: ("dsc_mean_pct,sd_pct\n", '"80.0\n",14.0\n', "80.0,oops\n"),
     read_corpus_csv: ("paper_id,method_id,mean_dsc,test_n,sd\n", '"p\n1",a,0.9,100,\n',
                       "p2,a,oops,100,\n"),
@@ -267,13 +266,13 @@ def test_errors_name_the_physical_line(tmp_path, reader):
     path = tmp_path / "in.csv"
     path.write_text(header + two_lines + bad)
     with pytest.raises(DataFormatError, match="not a number") as info:
-        reader(path)
+        list(reader(path))
     assert info.value.line == 4
     assert "line 4: " in str(info.value)
 
 
 @pytest.mark.parametrize("reader, text, line", [
-    (read_per_case_csv, "task_id,method_id,case_id,dsc\nt,m,c,0.5\nt,m,c2,0.1_5\n", 3),
+    (iter_per_case_csv, "task_id,method_id,case_id,dsc\nt,m,c,0.5\nt,m,c2,0.1_5\n", 3),
     (read_pairs_csv, "dsc_mean_pct,sd_pct\n80.0,14.0\n1_0,2\n", 3),
     (read_pairs_csv, "dsc_mean_pct,sd_pct\n80.0,1_4.0\n", 2),
     (read_corpus_csv, "paper_id,method_id,mean_dsc,test_n,sd\np1,a,0.9,1_00,\n", 2),
@@ -287,7 +286,7 @@ def test_underscore_literals_refused(tmp_path, reader, text, line):
     path = tmp_path / "in.csv"
     path.write_text(text)
     with pytest.raises(DataFormatError, match="not a") as info:
-        reader(path)
+        list(reader(path))
     assert info.value.line == line
 
 
@@ -295,10 +294,10 @@ def test_per_case_blank_and_malformed_rows(tmp_path):
     path = tmp_path / "cases.csv"
     path.write_text("task_id,method_id,case_id,dsc\n\n , , , \nt,m,c,0.5\n,\nt,m,c\n")
     with pytest.raises(DataFormatError, match="expected 4 fields") as info:
-        read_per_case_csv(path)
+        list(iter_per_case_csv(path))
     assert info.value.line == 6
     path.write_text("task_id,method_id,case_id,dsc\n\n , , , \n t , m ,c,0.5\n,\n")
-    assert read_per_case_csv(path) == [CaseResult("t", "m", "c", 0.5)]
+    assert list(iter_per_case_csv(path)) == [("t", "m", "c", 0.5)]
 
 
 # Cells the readers must refuse or read as documented: non-finite and
@@ -374,11 +373,11 @@ PAIRS_CELLS = [["90", "0", "100", "55.5"], ["5", "0.5", "0"]]
 def test_per_case_reader_fuzz(tmp_path, rows):
     path = tmp_path / "cases.csv"
     path.write_text("\n".join([",".join(PER_CASE_HEADER), *rows]) + "\n")
-    results = read_or_refuse(read_per_case_csv, path)
+    results = read_or_refuse(lambda p: list(iter_per_case_csv(p)), path)
     if results is not None:
         assert len(results) == sum(1 for row in rows if row.replace(",", "").strip())
-        for result in results:
-            assert 0.0 <= result.dsc <= 1.0
+        for _, _, _, dsc in results:
+            assert 0.0 <= dsc <= 1.0
 
 
 @settings(max_examples=300, deadline=None,
@@ -392,23 +391,6 @@ def test_pairs_reader_fuzz(tmp_path, rows):
         assert len(pairs) == sum(1 for row in rows if row.replace(",", "").strip())
         for mean, sd in pairs:
             assert 0.0 <= mean <= 100.0 and 0.0 < sd < math.inf
-
-
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(fuzz_rows(PER_CASE_CELLS))
-def test_per_case_stream_reader_fuzz(tmp_path, rows):
-    # the streamed reader reads and refuses exactly as the list reader does
-    path = tmp_path / "cases.csv"
-    path.write_text("\n".join([",".join(PER_CASE_HEADER), *rows]) + "\n")
-    try:
-        want = read_per_case_csv(path)
-    except DataFormatError as exc:
-        with pytest.raises(DataFormatError) as info:
-            list(iter_per_case_csv(path))
-        assert str(info.value) == str(exc) and info.value.line == exc.line
-        return
-    assert list(iter_per_case_csv(path)) == [tuple(row) for row in want]
 
 
 # Ids that need quoting or stripping: a task or method id read with and
@@ -453,6 +435,5 @@ def test_streamed_aggregate_matches_row_path(tmp_path, groups, blanks, number, r
         return pairs, result.n_groups, result.n_dropped_zero_sd, result.n_skipped_small
 
     got = by_hex(make_training_pairs(iter_per_case_csv(path)))
-    assert got == by_hex(make_training_pairs(read_per_case_csv(path)))
-    pairs, dropped, skipped = summarize_pairs(read_per_case_csv(path))
+    pairs, dropped, skipped = summarize_pairs(list(iter_per_case_csv(path)))
     assert (got[0], got[2], got[3]) == (pairs, dropped, skipped)

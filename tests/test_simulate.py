@@ -64,8 +64,8 @@ def reference_results(spec):
 def summarize_pairs(rows):
     """make_training_pairs through summarize: (mean %, SD %) by hex, dropped, skipped."""
     groups = {}
-    for row in rows:
-        groups.setdefault((row.task_id, row.method_id), []).append(row.dsc)
+    for task_id, method_id, _, dsc in rows:
+        groups.setdefault((task_id, method_id), []).append(dsc)
     pairs, dropped, skipped = [], 0, 0
     for values in groups.values():
         if len(values) < 2:
@@ -106,6 +106,13 @@ class TestSampleBeta:
             sample_beta(0.0, 1.0, rng)
         with pytest.raises(ValueError):
             gamma_variate(-2.0, rng)
+
+    def test_underflow_is_arithmetic_error(self):
+        # at a = b = 0.005 both Gamma variates of stream 327 round to 0
+        with pytest.raises(ArithmeticError, match=r"^beta:0\.005,0\.005 cannot be drawn: "
+                           "both Gamma variates underflowed to 0$"):
+            sample_beta(0.005, 0.005, substream(1, 5, 327))
+        assert 0.0 <= sample_beta(0.005, 0.005, substream(1, 5, 326)) <= 1.0
 
     def test_distribution_matches_reference(self):
         # distribution-level check against scipy's Beta CDF
