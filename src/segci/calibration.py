@@ -13,7 +13,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .descriptive import interpolated_quantile
+from .descriptive import summarize
 from .glm import GlmFit
 from .intervals import AggregateReport, approximate_sd, parametric_ci
 
@@ -110,34 +110,11 @@ def calibrate(
         raise ValueError("calibration needs at least one result")
 
     kept = [r.width_diff for r in records if r.n > min_n]
+    stats = [None] * 4
     if kept:
-        abs_kept = [abs(d) for d in kept]
-        summary = CalibrationSummary(
-            n_records=len(records),
-            n_after_filter=len(kept),
-            min_n_filter=min_n,
-            median_width_diff=interpolated_quantile(kept, 0.5),
-            iqr_width_diff=(
-                interpolated_quantile(kept, 0.25),
-                interpolated_quantile(kept, 0.75),
-            ),
-            median_abs_width_diff=interpolated_quantile(abs_kept, 0.5),
-            iqr_abs_width_diff=(
-                interpolated_quantile(abs_kept, 0.25),
-                interpolated_quantile(abs_kept, 0.75),
-            ),
-        )
-    else:
-        summary = CalibrationSummary(
-            n_records=len(records),
-            n_after_filter=0,
-            min_n_filter=min_n,
-            median_width_diff=None,
-            iqr_width_diff=None,
-            median_abs_width_diff=None,
-            iqr_abs_width_diff=None,
-        )
-    return records, summary
+        signed, absolute = summarize(kept), summarize([abs(d) for d in kept])
+        stats = [signed.median, (signed.q1, signed.q3), absolute.median, (absolute.q1, absolute.q3)]
+    return records, CalibrationSummary(len(records), len(kept), min_n, *stats)
 
 
 def write_calibration_csv(records: Sequence[CalibrationRecord], path: "str | Path") -> None:

@@ -28,7 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 class UsageError(ValueError):
@@ -151,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"--alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 < alpha / 2.0 < 0.5:  # below 1e-323, alpha / 2 rounds to 0
+        raise UsageError(f"--alpha must lie in [1e-323, 1), got {alpha}")
 
 
 def _cmd_fit(args) -> int:
@@ -239,10 +239,6 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _five_number(s) -> dict:
-    return {"min": s.min, "q1": s.q1, "median": s.median, "q3": s.q3, "max": s.max}
-
-
 def _cmd_analyze(args) -> int:
     from . import corpus as corpus_mod
     from . import io as sio
@@ -260,12 +256,6 @@ def _cmd_analyze(args) -> int:
         "width": summary.width._asdict(),
         "delta": summary.delta._asdict() if summary.delta is not None else None,
         "ratio": summary.ratio._asdict() if summary.ratio is not None else None,
-        "boxplots": {
-            panel: _five_number(s)
-            for panel, s in (("width", summary.width), ("delta", summary.delta),
-                             ("ratio", summary.ratio))
-            if s is not None
-        },
         "papers": [
             {
                 "paper_id": a.paper_id,
@@ -298,10 +288,7 @@ def _cmd_simulate(args) -> int:
 
     if args.tasks < 1 or args.methods < 1 or args.cases < 1:
         raise UsageError("--tasks, --methods and --cases must all be >= 1")
-    try:
-        family = sim.parse_family(args.family)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    family = sim.parse_family(args.family)
     exclude = []
     if args.exclude:
         for token in args.exclude.split(","):

@@ -73,7 +73,7 @@ def summarize(values: Sequence[float]) -> SampleSummary:
     """Compute a SampleSummary for a non-empty batch of finite values.
 
     Sums use compensated summation, so the result is independent of the
-    input order and exact for constant samples.
+    input order and exact for constant samples; they never overflow.
     """
     s = _sorted_finite(values, "summarize")
     n = len(s)
@@ -85,12 +85,14 @@ def summarize(values: Sequence[float]) -> SampleSummary:
             n=n, mean=value, sd=0.0 if n >= 2 else None,
             median=value, q1=value, q3=value, min=s[0], max=value,
         )
-    mean = math.fsum(s) / n
-    sd = math.sqrt(math.fsum([(v - mean) ** 2 for v in s]) / (n - 1))
+    # a power of two, so exact; past 2**480 it keeps the sum and the squares finite
+    scale = math.ldexp(1.0, min(0, 480 - math.frexp(max(-s[0], s[-1]))[1]))
+    mean = math.fsum([v * scale for v in s]) / n
+    sd = math.sqrt(math.fsum([(v * scale - mean) ** 2 for v in s]) / (n - 1))
     return SampleSummary(
         n=n,
-        mean=mean,
-        sd=sd,
+        mean=mean / scale,
+        sd=sd / scale,
         median=_quantile(s, 0.5),
         q1=_quantile(s, 0.25),
         q3=_quantile(s, 0.75),

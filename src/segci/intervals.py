@@ -112,7 +112,7 @@ def parametric_ci(
     n : int
         Test-set size, at least 2.
     alpha : float
-        Significance level; 0.05 gives the 95% interval.
+        Significance level in [1e-323, 1); 0.05 gives the 95% interval.
     clamp : bool
         Restrict the interval to [0, 1] (a Dice score cannot leave it).
         A clamped interval is marked via the ``clamped`` field.
@@ -123,8 +123,8 @@ def parametric_ci(
         raise ValueError(f"mean_dsc must be finite, got {mean_dsc}")
     if not 0.0 <= sd < math.inf:
         raise ValueError(f"sd must be finite and >= 0, got {sd}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 < alpha / 2.0 < 0.5:  # below 1e-323, alpha / 2 rounds to 0
+        raise ValueError(f"alpha must lie in [1e-323, 1), got {alpha}")
     # the lower quantile, negated: 1 - alpha/2 would round to 1 for a tiny alpha
     half_width = -t_quantile(alpha / 2.0, n - 1) * sd / math.sqrt(n)
     lower = mean_dsc - half_width

@@ -16,7 +16,9 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
 import re
+import stat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -174,20 +176,27 @@ def write_per_case_csv(rows: Iterable[CaseResult], path: "str | Path") -> None:
     a ``\\r`` or a ``\\n`` (the writer's ``\\r\\n`` terminator makes it
     quote both: unquoted, a reader ends the row there) and written as it
     is otherwise. Task and method ids are formatted once each; every row
-    is then one f-string.
+    is then one f-string. If a row fails to draw or write, ``path`` is
+    removed if it is a regular file: opening it truncated any old content.
     """
     csv_line = csv.writer(_Echo, lineterminator="\r\n").writerow
     # the empty second field keeps an empty id unquoted, as inside a row
     quote = lambda text: csv_line([text, ""])[:-3]
     group_field = functools.cache(quote)  # as many entries as tasks and methods
     needs_quotes = re.compile('[,"\r\n]').search
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(PER_CASE_HEADER) + "\n")
-        fh.writelines(
-            f"{group_field(task_id)},{group_field(method_id)},"
-            f"{quote(case_id) if needs_quotes(case_id) else case_id},{dsc:.6f}\n"
-            for task_id, method_id, case_id, dsc in rows
-        )
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(",".join(PER_CASE_HEADER) + "\n")
+            fh.writelines(
+                f"{group_field(task_id)},{group_field(method_id)},"
+                f"{quote(case_id) if needs_quotes(case_id) else case_id},{dsc:.6f}\n"
+                for task_id, method_id, case_id, dsc in rows
+            )
+    except BaseException:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+        raise
 
 
 def read_pairs_csv(path: "str | Path") -> list[TrainingPair]:

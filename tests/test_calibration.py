@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segci import (
     calibrate,
+    interpolated_quantile,
     paper_model,
     parametric_ci,
     predict_sd_pct,
@@ -97,6 +100,35 @@ def test_all_filtered_marks_summary_empty():
     assert summary.n_after_filter == 0
     assert summary.median_width_diff is None
     assert summary.iqr_width_diff is None
+
+
+@st.composite
+def filtered_results(draw):
+    """(results, min_n): n at, just above and away from min_n, repeated rows, zero SDs."""
+    min_n = draw(st.integers(2, 60))
+    n = st.sampled_from([min_n, min_n + 1]) | st.integers(2, 300)
+    sd = st.just(0.0) | st.floats(0.0, 0.5) | st.floats(0.0, 1e306)
+    rows = draw(st.lists(st.tuples(n, st.floats(0.0, 1.0), sd), min_size=1, max_size=12))
+    order = draw(st.lists(st.sampled_from(range(len(rows))), min_size=1, max_size=24))
+    return [(f"t{i}", "m", *rows[i]) for i in order], min_n
+
+
+@settings(max_examples=200, deadline=None)
+@given(filtered_results())
+def test_summary_matches_interpolated_quantiles(drawn):
+    # the four statistics, bit for bit, against quantiles taken one at a time
+    results, min_n = drawn
+    records, summary = calibrate(results, MODEL, min_n=min_n)
+    kept = [r.width_diff for r in records if r.n > min_n]
+    assert summary[:3] == (len(records), len(kept), min_n)
+    if not kept:
+        assert summary[3:] == (None,) * 4
+        return
+    got = [summary.median_width_diff, *summary.iqr_width_diff,
+           summary.median_abs_width_diff, *summary.iqr_abs_width_diff]
+    want = [interpolated_quantile(sample, p)
+            for sample in (kept, [abs(d) for d in kept]) for p in (0.5, 0.25, 0.75)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def test_csv_output(tmp_path):

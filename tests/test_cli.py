@@ -420,14 +420,14 @@ class TestCalibrate:
         "flags, code, summary_digest, points_digest",
         [
             ([], 0,
-             "e38e3f0181f479e03fb56e3d140bc1d73c21be39304d1a72b5d9d7b9df512799",
+             "9c6fba025d1864580cf274ee429ccdf54ddc94a524d6bf89d0dc2d7488cf7806",
              "a2664d526112af661ec73f77e14d836bdd3a983ebabb5f771fc2bd3ee799a9b4"),
             (["--alpha", "0.1", "--min-n", "100"], 0,
-             "ec95ceb87098fc9785c8a2f95cb42020729673052a409301a17cb656f14eaa6e",
+             "b582e693030bf7280c5fe057c15156c485b18e1f1c841729ee4b259cc42a0369",
              "2077d8f0782d4b4cf9ca9bba568aa6d8584f99290c7c1dd727afb25de45d8ddf"),
             # every n is at most 299: the summary is empty, and the run exits 2
             (["--min-n", "300"], 2,
-             "152ebf83a450f90e1266f4ff265b38aab34ca670c0770304b61f916928147fae",
+             "a16d3f50291db7505d0e06dd90ccce71846bcdce7f7bb12cb76b7b9a31d6365d",
              "a2664d526112af661ec73f77e14d836bdd3a983ebabb5f771fc2bd3ee799a9b4"),
         ],
         ids=["default", "alpha_0.1_min_n_100", "min_n_300_empty"],
@@ -459,7 +459,7 @@ class TestAnalyze:
         code, stdout, _ = run(capsys, "analyze", "--input", str(src), "--output", str(out))
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["overlap_fraction"] == 0.5
         assert len(doc["papers"]) == 2
         assert "overlap_fraction: 0.500" in stdout
@@ -481,9 +481,11 @@ class TestAnalyze:
         assert doc["width"]["n"] == 2
         assert doc["delta"]["n"] == 1
 
-    def test_boxplot_panels(self, capsys, tmp_path):
+    def test_top_level_keys(self, capsys, tmp_path):
         src = tmp_path / "corpus.csv"
         out = tmp_path / "report.json"
+        keys = ["schema", "n_papers", "n_with_runner_up", "overlap_fraction", "width", "delta",
+                "ratio", "papers"]
         src.write_text(
             "paper_id,method_id,mean_dsc,test_n,sd\n"
             "a,x,0.80,40,\n"
@@ -493,14 +495,14 @@ class TestAnalyze:
         )
         assert run(capsys, "analyze", "--input", str(src), "--output", str(out))[0] == 0
         doc = json.loads(out.read_text())
-        assert list(doc["boxplots"]) == ["width", "delta", "ratio"]
-        for name, panel in doc["boxplots"].items():
-            assert list(panel) == ["min", "q1", "median", "q3", "max"]
-            assert panel == {k: doc[name][k] for k in panel}
-        # without a runner-up there is no gap, so only the width panel
+        assert list(doc) == keys
+        assert doc["delta"]["n"] == doc["ratio"]["n"] == 2
+        # without a runner-up there is no gap: delta and ratio are null
         src.write_text("paper_id,method_id,mean_dsc,test_n,sd\nsolo,x,0.9,50,\n")
         assert run(capsys, "analyze", "--input", str(src), "--output", str(out))[0] == 0
-        assert list(json.loads(out.read_text())["boxplots"]) == ["width"]
+        doc = json.loads(out.read_text())
+        assert list(doc) == keys
+        assert doc["delta"] is None and doc["ratio"] is None
 
     def test_bundled_demo_corpus(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -516,9 +518,9 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "flags, digest",
         [
-            ([], "cf839a57ffc98d237949d08ccf8f983fe83c22a104801d0af764fec40a51ecf1"),
+            ([], "7e46abf012ab5b878a1ed3a24e4d6cf5eef03ea7c1e4759a2fa88a00660fd562"),
             (["--no-clamp", "--force-model-sd", "--alpha", "0.1"],
-             "e49249f154129bffe4a255276170fa4055b14552fc3e044d0de6d9d0fb9b1562"),
+             "ab12d3c4e4898644d0828f72ff6ebdb08a59f23624145e4ce408d9cd8e19e3e8"),
         ],
         ids=["default", "no_clamp_model_sd_alpha_0.1"],
     )
@@ -645,6 +647,24 @@ class TestSimulate:
         assert err == ("error: beta:0.005,0.005 cannot be drawn: both Gamma variates "
                        "underflowed to 0\n")
 
+    @pytest.mark.parametrize("existing", ["none", "file", "symlink"])
+    def test_failed_run_leaves_no_partial_file(self, capsys, tmp_path, existing):
+        # the draw fails after some 4000 rows have been written
+        out, target = tmp_path / "z.csv", tmp_path / "target.csv"
+        if existing == "file":
+            out.write_text("old content\n")
+        elif existing == "symlink":
+            target.write_text("old content\n")
+            out.symlink_to(target)
+        code, _, _ = run(capsys, "simulate", "--output", str(out), "--family", "beta:0.005,0.005",
+                         "--tasks", "2", "--methods", "2", "--cases", "2000")
+        assert code == 1
+        if existing == "symlink":
+            # only a regular file is removed; the link and its target stay
+            assert out.is_symlink() and target.exists()
+        else:
+            assert not out.exists()
+
     @pytest.mark.parametrize("exclude", ["10:1", "1:2", "-1:0", "0:-1"])
     def test_exclude_outside_the_grid(self, capsys, tmp_path, exclude):
         # (10, 1) used to exclude nothing, silently
@@ -691,7 +711,8 @@ def test_memory_grows_with_groups_not_rows(capsys, tmp_path):
 # Values every numeric flag must refuse or read as documented:
 # non-finite and overflowing numbers, empty and blank text, underscore
 # literals, and values at or just outside each flag's range.
-FLAG_FUZZ = ["nan", "inf", "-inf", "1e400", "1e308", "", " ", "1_0", "0_5", "-1", "0", "1e-300"]
+FLAG_FUZZ = ["nan", "inf", "-inf", "1e400", "1e308", "", " ", "1_0", "0_5", "-1", "0", "1e-300",
+             "5e-324"]
 FAMILY_FUZZ = (
     [f"beta:{v},2" for v in FLAG_FUZZ] + [f"beta:2,{v}" for v in FLAG_FUZZ]
     + [f"constant:{v}" for v in FLAG_FUZZ] + ["beta:0.005,0.005", "beta:8", "beta:"]
@@ -769,6 +790,14 @@ def test_numeric_flag_fuzz(capsys, tmp_path, command):
             assert sum("error:" in line for line in err.splitlines()) == 1, (flags, err)
 
     check()
+
+
+@pytest.mark.parametrize("command", ["ci", "analyze", "calibrate"])
+def test_alpha_whose_half_underflows(capsys, base_argv, command):
+    # alpha / 2 rounds to 0: the error used to name t_quantile's argument p
+    code, out, err = run(capsys, *base_argv[command], "--alpha", "5e-324")
+    assert (code, out) == (1, "")
+    assert err == "error: --alpha must lie in [1e-323, 1), got 5e-324\n"
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,3 +136,15 @@ def test_signed_zeros_independent_of_order(sample):
     if min(sample) == max(sample):
         # a constant sample's mean is the sum's: -0.0 only when every value is
         assert summarize(sample).mean.hex() == math.fsum(sample).hex()
+
+
+@pytest.mark.parametrize("values", [
+    [1e300, -1e300, 3.0], [1.7e308, 1.7e308, 0.0], [1e306, 2e306, 0.5, 7e305], [2.0**480, 0.0],
+])
+def test_mean_and_sd_do_not_overflow(values):
+    # the sum or the squares leave the float range; the statistics do not
+    s = summarize(values)
+    exact = sum(map(Fraction, values)) / len(values)
+    assert s.mean == float(exact)
+    var = sum((Fraction(v) - exact) ** 2 for v in values) / (len(values) - 1)
+    assert s.sd == pytest.approx(math.sqrt(float(var / 4**600)) * 2.0**600, rel=1e-15)

@@ -1,0 +1,52 @@
+"""README drift: the CLI table, the report field lists and the schema number."""
+
+import argparse
+import re
+from pathlib import Path
+
+from segci import cli
+from segci.calibration import CalibrationSummary
+from segci.descriptive import SampleSummary
+
+README = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split("\n"))
+
+
+def parser_flags():
+    """{command: (required flags, optional flags)} as ``build_parser`` defines them."""
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    flags = {}
+    for name, parser in commands.choices.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        flags[name] = tuple(
+            sorted(a.option_strings[0] for a in actions if a.required == required)
+            for required in (True, False)
+        )
+    return flags
+
+
+def readme_flags():
+    """{command: (required flags, optional flags)} as README's CLI table lists them."""
+    rows = re.findall(r"\| `(\w+)` \| ([^|]*) \| ([^|]*) \|", README)
+    return {
+        command: tuple(sorted(re.findall(r"`(--[\w-]+)`", cell)) for cell in cells)
+        for command, *cells in rows
+    }
+
+
+def test_cli_table_lists_every_flag():
+    assert readme_flags() == parser_flags()
+
+
+def readme_field_list(owner):
+    sentence = re.search(rf"`{owner}`, in their declared order: ([^.]*)\.", README)
+    return re.findall(r"`(\w+)`", sentence.group(1))
+
+
+def test_report_field_lists():
+    assert readme_field_list("CalibrationSummary") == list(CalibrationSummary._fields)
+    assert readme_field_list("SampleSummary") == list(SampleSummary._fields)
+
+
+def test_schema_number():
+    assert re.findall(r'"schema": (\d+)', README) == [str(cli.REPORT_SCHEMA_VERSION)]

@@ -114,6 +114,12 @@ class TestParametricCi:
         with pytest.raises(ValueError):
             parametric_ci(0.5, 0.1, 10, alpha=1.5)
 
+    def test_alpha_whose_half_underflows_refused(self):
+        # 5e-324 / 2 rounds to 0, which t_quantile refused under the name p
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[1e-323, 1\), got 5e-324$"):
+            parametric_ci(0.5, 0.1, 10, alpha=5e-324)
+        assert parametric_ci(0.5, 0.1, 10, alpha=1e-323).clamped
+
     def test_unclamped_overflow_refused(self):
         # t(0.975, 1) * 1e308 / sqrt(2) overflows: the interval was (-inf, inf)
         with pytest.raises(ValueError, match=r"overflows: sd=1e\+308 at n=2"):
