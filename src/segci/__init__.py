@@ -11,6 +11,7 @@ whether performance gaps clear the reconstructed interval widths.
 from __future__ import annotations
 
 import importlib
+import math
 
 __version__ = "0.1.0"
 
@@ -75,6 +76,23 @@ class _Checked:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+def _mean_sd(values) -> "tuple[float, float] | None":
+    """The fsum mean and two-pass n-1 SD of ``values``; None when every value is equal.
+
+    Outside [2**-481, 2**480) the values are scaled by a power of two, so that no square
+    overflows or underflows; inside, no bit changes. A too-large SD raises OverflowError.
+    """
+    lo, hi = min(values), max(values)
+    if lo == hi:
+        return None
+    e = math.frexp(max(-lo, hi))[1]
+    k = 480 - e if abs(e) > 480 else 0
+    values = [math.ldexp(v, k) for v in values] if k else values
+    mean = math.fsum(values) / len(values)
+    sd = math.sqrt(math.fsum([(v - mean) ** 2 for v in values]) / (len(values) - 1))
+    return math.ldexp(mean, -k), math.ldexp(sd, -k)
 
 
 def __getattr__(name: str):

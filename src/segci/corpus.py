@@ -66,6 +66,8 @@ class PaperRecord(_Checked, _PaperRecord):
             raise ValueError(f"test_n must be an integer >= 2, got {test_n!r}")
         if not methods:
             raise ValueError(f"paper {paper_id} carries no methods")
+        if len({m.method_id for m in methods}) < len(methods):
+            raise ValueError(f"paper {paper_id} lists a method id twice")
         return super().__new__(cls, paper_id, test_n, methods)
 
 
@@ -95,8 +97,8 @@ class CorpusSummary(NamedTuple):
 
 
 def rank_methods(paper: PaperRecord) -> list[MethodResult]:
-    """Methods in descending mean DSC; ties keep their input order."""
-    return sorted(paper.methods, key=lambda m: -m.mean_dsc)
+    """Methods in descending mean DSC, tied means in ascending method_id."""
+    return sorted(paper.methods, key=lambda m: (-m.mean_dsc, m.method_id))
 
 
 def analyze_paper(

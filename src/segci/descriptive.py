@@ -6,6 +6,8 @@ import bisect
 import math
 from typing import NamedTuple, Sequence
 
+from . import _mean_sd
+
 __all__ = ["SampleSummary", "interpolated_quantile", "summarize"]
 
 
@@ -66,6 +68,8 @@ def _quantile(s: list[float], p: float) -> float:
     lo = math.floor(pos)
     if lo >= len(s) - 1:
         return s[-1]
+    if math.isinf(s[lo + 1] - s[lo]):  # order statistics of opposite sign near the float limit
+        return (1.0 - (pos - lo)) * s[lo] + (pos - lo) * s[lo + 1]
     return s[lo] + (pos - lo) * (s[lo + 1] - s[lo])
 
 
@@ -73,7 +77,7 @@ def summarize(values: Sequence[float]) -> SampleSummary:
     """Compute a SampleSummary for a non-empty batch of finite values.
 
     Sums use compensated summation, so the result is independent of the
-    input order and exact for constant samples; they never overflow.
+    input order and exact for constant samples; see :func:`segci._mean_sd`.
     """
     s = _sorted_finite(values, "summarize")
     n = len(s)
@@ -85,14 +89,11 @@ def summarize(values: Sequence[float]) -> SampleSummary:
             n=n, mean=value, sd=0.0 if n >= 2 else None,
             median=value, q1=value, q3=value, min=s[0], max=value,
         )
-    # a power of two, so exact; past 2**480 it keeps the sum and the squares finite
-    scale = math.ldexp(1.0, min(0, 480 - math.frexp(max(-s[0], s[-1]))[1]))
-    mean = math.fsum([v * scale for v in s]) / n
-    sd = math.sqrt(math.fsum([(v * scale - mean) ** 2 for v in s]) / (n - 1))
+    mean, sd = _mean_sd(s)
     return SampleSummary(
         n=n,
-        mean=mean / scale,
-        sd=sd / scale,
+        mean=mean,
+        sd=sd,
         median=_quantile(s, 0.5),
         q1=_quantile(s, 0.25),
         q3=_quantile(s, 0.75),

@@ -166,14 +166,9 @@ def bootstrap_ci(
     # (parametric_ci and approximate_sd) runs without them.
     import numpy as np
 
-    from .descriptive import interpolated_quantile
+    from .descriptive import _quantile, _sorted_finite
 
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        raise ValueError("bootstrap_ci needs a non-empty sample")
-    finite = np.isfinite(arr)
-    if not finite.all():
-        raise ValueError(f"bootstrap_ci needs finite values, got {arr[~finite][0]}")
+    s = _sorted_finite(values, "bootstrap")
     if n_resamples < MIN_BOOTSTRAP_RESAMPLES:
         raise ValueError(
             f"n_resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}, got {n_resamples}"
@@ -187,23 +182,17 @@ def bootstrap_ci(
             f"alpha={alpha} is too small for n_resamples={n_resamples}: the interval would be "
             f"the extreme resample means; use {fix}"
         )
-    if arr[0] == arr[-1]:
-        # constant sample: every resample mean equals the shared value. The
-        # sort keeps 0.0 and -0.0 in input order, so the sign is read from
-        # the whole sample: -0.0 only when every value is -0.0.
-        value = float(arr[0])
-        if value == 0.0 and not np.signbit(arr).all():
-            value = 0.0
-        return ConfidenceInterval(value, value, alpha, BOOTSTRAP_PERCENTILE)
+    if s[0] == s[-1]:
+        # constant sample: every resample mean is s[-1], -0.0 only when every value is
+        return ConfidenceInterval(s[-1], s[-1], alpha, BOOTSTRAP_PERCENTILE)
 
     try:
-        means = _resample_means(arr, n_resamples, seed)
+        means = _resample_means(np.array(s), n_resamples, seed)
     except OverflowError:
         raise ValueError("bootstrap_ci: a resample sum overflows the float range") from None
-    # sorted once here: interpolated_quantile re-sorts sorted input in linear time
     means = np.sort(means).tolist()
-    lower = interpolated_quantile(means, alpha / 2.0)
-    upper = interpolated_quantile(means, 1.0 - alpha / 2.0)
+    lower = _quantile(means, alpha / 2.0)
+    upper = _quantile(means, 1.0 - alpha / 2.0)
     return ConfidenceInterval(lower, upper, alpha, BOOTSTRAP_PERCENTILE)
 
 

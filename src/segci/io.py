@@ -216,7 +216,7 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
     """Parse a comparison corpus, grouping rows by paper_id.
 
     Papers keep their order of first appearance; each paper's rows must
-    agree on test_n.
+    agree on test_n and name each method once.
     """
     # corpus loads intervals and special, which simulate and fit do not need
     from .corpus import MethodResult, PaperRecord
@@ -224,6 +224,7 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
     rows = _read_rows(path, CORPUS_HEADER)
     methods: dict[str, list[MethodResult]] = {}
     test_ns: dict[str, tuple[int, int]] = {}
+    lines: dict[tuple[str, str], int] = {}
     for line_no, (paper_id, method_id, mean_cell, n_cell, sd_cell) in rows:
         paper_id = paper_id.strip()
         mean = _parse_float(mean_cell, "mean_dsc", path, line_no)
@@ -240,6 +241,10 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
                 path,
                 line_no,
             )
+        first = lines.setdefault((paper_id, method.method_id), line_no)
+        if first != line_no:
+            raise DataFormatError(f"paper {paper_id!r} lists method {method.method_id!r} "
+                                  f"twice (on line {first} and here)", path, line_no)
         test_ns.setdefault(paper_id, (n, line_no))
         methods.setdefault(paper_id, []).append(method)
 

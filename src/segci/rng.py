@@ -2,9 +2,9 @@
 
 Every consumer of randomness in this package derives an independent
 Philox stream from a user seed, a fixed domain tag, and up to three path
-indices (for example task/method/case). Streams are therefore identical
-regardless of evaluation order, and stable across platforms for a given
-numpy major series.
+indices (for example task/method/case). Streams are identical in any
+evaluation order. numpy's policy (NEP 19) fixes the Philox words, but
+not what Generator's methods, such as standard_normal, make of them.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from collections import defaultdict
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from . import _Checked
+from . import _Checked, _mean_sd
 from .glm import TrainingPair
 
 # numpy loads with segci.rng, inside the functions that draw: `segci fit`
@@ -246,15 +246,8 @@ def make_training_pairs(rows: Iterable[CaseResult]) -> PairsResult:
         if len(values) < 2:
             skipped += 1
             continue
-        # the mean and SD of :func:`~segci.descriptive.summarize`, bit for bit:
-        # exactly 0 for a constant group, whatever the summation noise
-        n = len(values)
-        mean = math.fsum(values) / n
-        if min(values) == max(values):
-            sd = 0.0
-        else:
-            sd = math.sqrt(math.fsum([(v - mean) ** 2 for v in values]) / (n - 1))
-        if sd == 0.0:
+        mean, sd = _mean_sd(values) or (0.0, 0.0)
+        if sd == 0.0:  # a constant group, or an SD below the smallest float
             dropped += 1
             continue
         pairs.append(TrainingPair(dsc_mean_pct=mean * 100.0, sd_pct=sd * 100.0))

@@ -298,6 +298,27 @@ class TestFit:
         assert code == 0
         assert model_path.exists()
 
+    def test_tiny_group_kept(self, capsys, tmp_path):
+        # its squared deviations (about 2.5e-401) underflowed to an SD of 0 before
+        from segci import make_training_pairs, summarize
+        from segci.io import iter_per_case_csv
+
+        cases = tmp_path / "cases.csv"
+        run(capsys, "simulate", "--output", str(cases), "--tasks", "3", "--methods", "4",
+            "--cases", "25", "--seed", "6")
+        with cases.open("a") as f:
+            f.write("tiny,m,c1,1e-200\ntiny,m,c2,2e-200\n")
+        model_path = tmp_path / "model.json"
+        code, _, err = run(capsys, "fit", "--input", str(cases), "--output", str(model_path))
+        assert code == 0
+        assert "zero-SD" not in err
+        assert json.loads(model_path.read_text())["n_obs"] == 13
+        tiny = make_training_pairs(iter_per_case_csv(cases)).pairs[-1]
+        stats = summarize([1e-200, 2e-200])
+        assert tiny.dsc_mean_pct.hex() == (stats.mean * 100.0).hex()
+        assert tiny.sd_pct.hex() == (stats.sd * 100.0).hex()
+        assert stats.sd == pytest.approx(0.5e-200 * math.sqrt(2.0), rel=1e-15)
+
     def test_deterministic_output(self, capsys, tmp_path):
         pairs = tmp_path / "pairs.csv"
         write_exact_fit_pairs(pairs)
@@ -543,6 +564,32 @@ class TestAnalyze:
         assert run(capsys, "analyze", "--input", str(src), "--output", str(out))[0] == 0
         assert json.loads(out.read_text())["papers"][0]["ci_width"] == 1.0
 
+    @pytest.mark.parametrize("rows", [
+        ["p1,a,0.9,30,0.05", "p1,b,0.9,30,0.2"],
+        ["p1,b,0.9,30,0.2", "p1,a,0.9,30,0.05"],
+    ], ids=["a_first", "b_first"])
+    def test_tied_leaders_rank_by_method_id(self, capsys, tmp_path, rows):
+        src, out = tmp_path / "corpus.csv", tmp_path / "report.json"
+        src.write_text("\n".join(["paper_id,method_id,mean_dsc,test_n,sd", *rows]) + "\n")
+        assert run(capsys, "analyze", "--input", str(src), "--output", str(out))[0] == 0
+        (paper,) = json.loads(out.read_text())["papers"]
+        assert (paper["first"], paper["second"], paper["ci_width"]) == ("a", "b", 0.037341)
+
+    @pytest.mark.parametrize("rows", [
+        ["p1,a,0.9,30,", "p1,a,0.85,30,"],
+        ["p1,a,0.85,30,", "p1,a,0.9,30,"],
+        ["p1,a,0.9,30,", "p2,a,0.8,40,", "p1,b,0.7,30,", " p1 ,a,0.9,30,"],
+    ], ids=["lower_second", "higher_second", "apart"])
+    def test_duplicate_method_is_data_error(self, capsys, tmp_path, rows):
+        src, out = tmp_path / "corpus.csv", tmp_path / "report.json"
+        src.write_text("\n".join(["paper_id,method_id,mean_dsc,test_n,sd", *rows]) + "\n")
+        code, _, err = run(capsys, "analyze", "--input", str(src), "--output", str(out))
+        assert code == 2
+        last = len(rows) + 1
+        assert err == (f"error: {src}: line {last}: paper 'p1' lists method 'a' twice "
+                       f"(on line 2 and here)\n")
+        assert not out.exists()
+
     def test_malformed_corpus(self, capsys, tmp_path):
         src = tmp_path / "corpus.csv"
         src.write_text("paper_id,method_id,mean_dsc,test_n,sd\np1,a,abc,100,\n")
@@ -550,6 +597,44 @@ class TestAnalyze:
                            "--output", str(tmp_path / "r.json"))
         assert code == 2
         assert "line 2" in err
+
+
+# Papers whose methods tie on purpose: "0.9" and "0.90" are the same mean,
+# and tied methods may report different SDs, which set the leader's width.
+corpus_papers = st.lists(
+    st.tuples(
+        st.sampled_from(["2", "30", "100"]),
+        st.lists(st.sampled_from("abcdef"), min_size=1, max_size=5, unique=True).flatmap(
+            lambda ids: st.tuples(*(
+                st.tuples(st.just(i), st.sampled_from(["0.9", "0.90", "0.85", "1", "0"]),
+                          st.sampled_from(["", "0.05", "0.2", "0"]))
+                for i in ids
+            ))
+        ),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+def test_report_independent_of_row_order(capsys, tmp_path):
+    src, out = tmp_path / "corpus.csv", tmp_path / "report.json"
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(corpus_papers, st.randoms(use_true_random=False))
+    def check(papers, rand):
+        rows = [f"p{k},{i},{mean},{n},{sd}"
+                for k, (n, methods) in enumerate(papers) for i, mean, sd in methods]
+        reports = []
+        for _ in range(2):
+            src.write_text("\n".join(["paper_id,method_id,mean_dsc,test_n,sd", *rows]) + "\n")
+            code, stdout, _ = run(capsys, "analyze", "--input", str(src), "--output", str(out))
+            assert code == 0
+            reports.append((stdout, out.read_bytes()))
+            rand.shuffle(rows)  # within and across papers
+        assert reports[0] == reports[1]
+
+    check()
 
 
 class TestSimulate:

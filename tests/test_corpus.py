@@ -40,6 +40,12 @@ class TestRankMethods:
         )
         assert [m.method_id for m in rank_methods(p)] == ["A", "B"]
 
+    def test_ties_rank_by_method_id(self):
+        a, b, c = MethodResult("a", 0.9, 0.05), MethodResult("b", 0.9, 0.2), MethodResult("c", 0.95)
+        for order in ((a, b, c), (b, a, c), (b, c, a)):
+            ranked = rank_methods(PaperRecord("p", 30, order))
+            assert [m.method_id for m in ranked] == ["c", "a", "b"]
+
     def test_single_method(self):
         ranked = rank_methods(paper("p", 10, 0.7))
         assert len(ranked) == 1

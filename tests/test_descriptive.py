@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segci import interpolated_quantile, summarize
@@ -148,3 +148,62 @@ def test_mean_and_sd_do_not_overflow(values):
     assert s.mean == float(exact)
     var = sum((Fraction(v) - exact) ** 2 for v in values) / (len(values) - 1)
     assert s.sd == pytest.approx(math.sqrt(float(var / 4**600)) * 2.0**600, rel=1e-15)
+
+
+def exact_mean_sd(values):
+    """The exact mean, and the n-1 SD to within an ulp, as Fractions."""
+    mean = sum(map(Fraction, values)) / len(values)
+    var = sum((Fraction(v) - mean) ** 2 for v in values) / (len(values) - 1)
+    k = (var.denominator.bit_length() - var.numerator.bit_length()) // 2  # var * 4**k near 1
+    return mean, Fraction(math.sqrt(var * Fraction(4) ** k)) / Fraction(2) ** k
+
+
+def assert_close(got, exact, floor=2.0**-1074):
+    # 1e-15 relative; an exact value below the normal range has no float
+    # closer than one step of the subnormal grid
+    assert abs(Fraction(got) - exact) <= max(Fraction(1e-15) * abs(exact), Fraction(floor))
+
+
+magnitudes = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1000))
+mantissas = st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=12)
+extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-200, 1.0, 1.7e308, -1.7e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(lambda b, ms: [m * b for m in ms], magnitudes, mantissas),
+    st.builds(lambda v, n: [v] * n, st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(1, 5)),
+    st.lists(st.sampled_from(extremes), min_size=1, max_size=6),
+))
+@example([1e-158, 2e-158, 4e-158])
+@example([1e-170, 2e-170, 4e-170])
+@example([1e-200, 2e-200])
+@example([5e-324, 1e-323, 2e-323])
+@example([1.7e308, 1.6e308, 0.0])
+def test_mean_and_sd_exact_at_every_magnitude(values):
+    if min(values) == max(values):
+        # constant: the value itself, -0.0 only when every value is, and SD 0
+        s = summarize(values)
+        negative = all(math.copysign(1.0, v) < 0.0 for v in values)
+        assert s.mean == values[0] and (math.copysign(1.0, s.mean) < 0.0) == negative
+        assert s.sd == (0.0 if len(values) > 1 else None)
+        return
+    mean, sd = exact_mean_sd(values)
+    if sd > Fraction(1.7976931348623157e308):
+        with pytest.raises(OverflowError):
+            summarize(values)
+        return
+    s = summarize(values)
+    # past 2**480 the values are scaled down by 2**(480 - e) before they are
+    # summed, so a sum that cancels loses what falls below that scale's subnormal grid
+    e = math.frexp(max(map(abs, values)))[1]
+    assert_close(s.mean, mean, floor=math.ldexp(1.0, -1074 + max(0, e - 480)))
+    assert_close(s.sd, sd)
+
+
+def test_quantile_between_opposite_extremes():
+    # the gap between the order statistics overflows; the quantile does not
+    assert interpolated_quantile([-1.7e308, 1.7e308], 0.5) == 0.0
+    assert interpolated_quantile([-1.7e308, 1.7e308], 0.25) == pytest.approx(-0.85e308, rel=1e-15)
+    assert interpolated_quantile([-1.7e308, 0.0, 1.7e308], 0.75) == 0.85e308

@@ -310,7 +310,7 @@ groups = st.one_of(
     st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]), min_size=1, max_size=9),
     st.builds(lambda a, b, n, k: [a] * n + [b] * k, unit, unit, st.integers(1, 5), st.integers(1, 5)),
     st.lists(unit, min_size=1, max_size=30),
-    # squared deviations that underflow: a non-constant group with SD 0
+    # values below 2**-481: scaled by a power of two before they are squared
     st.lists(st.sampled_from([0.0, 5e-324, 1e-320, 1e-300]), min_size=1, max_size=9),
 )
 

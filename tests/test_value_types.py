@@ -39,6 +39,8 @@ REFUSED = [
     (BetaFamily, (math.inf, 2.0), "beta parameters must be positive and finite, got (inf, 2.0)"),
     (ConstantFamily, (1.5,), "constant DSC must lie in [0, 1], got 1.5"),
     (SimSpec, (0,), "all SimSpec counts must be >= 1"),
+    (PaperRecord, ("p", 10, (METHOD, METHOD._replace(mean_dsc=0.5))),
+     "paper p lists a method id twice"),
 ]
 
 
