@@ -38,8 +38,7 @@ _EXPORTS = {
     ),
     "simulate": (
         "BetaFamily", "CaseResult", "ConstantFamily", "PairsResult", "SimSpec", "SimulatedRows",
-        "demo_corpus", "generate_results", "make_training_pairs",
-        "parse_family", "sample_beta",
+        "generate_results", "make_training_pairs", "parse_family", "sample_beta",
     ),
     "special": ("t_cdf", "t_quantile"),
 }
@@ -79,20 +78,30 @@ class _Checked:
 
 
 def _mean_sd(values) -> "tuple[float, float] | None":
-    """The fsum mean and two-pass n-1 SD of ``values``; None when every value is equal.
+    """The fsum mean and corrected two-pass n-1 SD of ``values``; None if all are equal.
 
-    Outside [2**-481, 2**480) the values are scaled by a power of two, so that no square
-    overflows or underflows; inside, no bit changes. A too-large SD raises OverflowError.
+    Outside [2**-432, 2**480) the values are scaled by a power of two before their squares
+    are taken: none overflows, and none that matters underflows, as a sample that is not
+    constant spreads over at least 2**-53 of its largest value. The mean is the unscaled
+    sum's unless that sum overflows. A too-large SD raises OverflowError.
     """
     lo, hi = min(values), max(values)
     if lo == hi:
         return None
+    n = len(values)
     e = math.frexp(max(-lo, hi))[1]
-    k = 480 - e if abs(e) > 480 else 0
-    values = [math.ldexp(v, k) for v in values] if k else values
-    mean = math.fsum(values) / len(values)
-    sd = math.sqrt(math.fsum([(v - mean) ** 2 for v in values]) / (len(values) - 1))
-    return math.ldexp(mean, -k), math.ldexp(sd, -k)
+    k = 0 if -432 < e <= 480 else 480 - e
+    scaled = [math.ldexp(v, k) for v in values] if k else values
+    try:
+        mean = math.fsum(values) / n
+        center = math.ldexp(mean, k)
+    except OverflowError:  # a partial sum left the float range; the scaled one cannot
+        center = math.fsum(scaled) / n
+        mean = math.ldexp(center, -k)
+    squares = math.fsum([(v - center) ** 2 for v in scaled])
+    # the correction removes what the rounding of the mean added to the squares
+    ss = squares - math.fsum(v - center for v in scaled) ** 2 / n
+    return mean, math.ldexp(math.sqrt(ss / (n - 1)), -k)
 
 
 def __getattr__(name: str):

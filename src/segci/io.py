@@ -81,18 +81,18 @@ def _is_data(row: list[str], width: int, path, line_no: int) -> bool:
     return True
 
 
-def _read_rows(path: "str | Path", expected_header: list[str]) -> list[tuple[int, list[str]]]:
-    """(line number, fields) of each non-blank data row, checking shape; none is refused."""
+def _read_rows(path: "str | Path", expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank data row, as it is read; none is refused."""
+    found = False
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = _data_reader(fh, path, expected_header)
-        rows = []
         for row in reader:
             line_no = reader.line_num
             if _is_data(row, len(expected_header), path, line_no):
-                rows.append((line_no, row))
-    if not rows:
+                found = True
+                yield line_no, row
+    if not found:
         raise DataFormatError("no data rows", path)
-    return rows
 
 
 def _parse_float(cell: str, name: str, path, line_no: int) -> float:

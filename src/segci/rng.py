@@ -21,7 +21,6 @@ _U64_MASK = (1 << 64) - 1
 # Domain tags reserved by the package. Test fixtures may use further tags.
 DOMAIN_CASES = 1
 DOMAIN_BOOTSTRAP = 2
-DOMAIN_DEMO_CORPUS = 6
 
 
 def _counter_words(path: tuple[int, ...]) -> list[int]:

@@ -1,4 +1,4 @@
-"""Deterministic synthetic per-case DSC data and the bundled demo corpus.
+"""Deterministic synthetic per-case DSC data.
 
 Stands in for challenge datasets that are not publicly redistributable:
 per-case scores are drawn from a Beta family (bounded on [0, 1] like a
@@ -24,8 +24,6 @@ from .glm import TrainingPair
 if TYPE_CHECKING:
     import numpy as np
 
-    from .corpus import PaperRecord
-
 __all__ = [
     "BetaFamily",
     "ConstantFamily",
@@ -37,7 +35,6 @@ __all__ = [
     "generate_results",
     "make_training_pairs",
     "parse_family",
-    "demo_corpus",
 ]
 
 
@@ -257,55 +254,3 @@ def make_training_pairs(rows: Iterable[CaseResult]) -> PairsResult:
         n_dropped_zero_sd=dropped,
         n_skipped_small=skipped,
     )
-
-
-# Constants of the bundled demo corpus. Chosen once so that the corpus
-# aggregates land near the targets documented in the README (median
-# leader CI width ~0.03, median gap ~0.01, overlap fraction 50/77).
-_DEMO_SEED = 108
-_DEMO_N_PAPERS = 77
-_DEMO_MEAN_RANGE = (0.70, 0.96)
-_DEMO_N_MEDIAN = 280.0
-_DEMO_N_SIGMA = 0.85
-_DEMO_DELTA_MEDIAN = 0.010
-_DEMO_DELTA_SIGMA = 1.0
-_DEMO_DELTA_CAP = 0.15
-
-
-def demo_corpus() -> list[PaperRecord]:
-    """The bundled 77-paper synthetic comparison corpus.
-
-    Purely synthetic leaderboards whose aggregate behavior resembles a
-    published-literature corpus; shipped as ``data/demo_corpus.csv`` and
-    regenerated bit-identically by this function.
-    """
-    # corpus loads intervals and special, which simulate and fit do not need
-    from .corpus import MethodResult, PaperRecord
-    from .rng import DOMAIN_DEMO_CORPUS, substreams
-
-    streams = substreams(_DEMO_SEED, DOMAIN_DEMO_CORPUS)
-    papers: list[PaperRecord] = []
-    for i in range(_DEMO_N_PAPERS):
-        rng = streams(i)
-        m1 = round(float(rng.uniform(*_DEMO_MEAN_RANGE)), 6)
-        n = round(float(rng.lognormal(math.log(_DEMO_N_MEDIAN), _DEMO_N_SIGMA)))
-        n = min(max(n, 12), 2500)
-        delta = min(
-            round(float(rng.lognormal(math.log(_DEMO_DELTA_MEDIAN), _DEMO_DELTA_SIGMA)), 6),
-            _DEMO_DELTA_CAP,
-        )
-        n_methods = int(rng.integers(2, 7))
-        means = [m1, round(max(m1 - delta, 0.0), 6)]
-        for _ in range(n_methods - 2):
-            means.append(round(max(means[-1] - float(rng.uniform(0.002, 0.05)), 0.0), 6))
-        papers.append(
-            PaperRecord(
-                paper_id=f"paper{i + 1:03d}",
-                test_n=n,
-                methods=tuple(
-                    MethodResult(method_id=f"method{j + 1:02d}", mean_dsc=mean)
-                    for j, mean in enumerate(means)
-                ),
-            )
-        )
-    return papers

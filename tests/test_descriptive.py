@@ -169,18 +169,35 @@ mantissas = st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=12)
 extremes = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-200, 1.0, 1.7e308, -1.7e308]
 
 
+def ulps_above(v, steps):
+    # v and values a few floats above it: a spread of a few ulps of the mean
+    out = []
+    for k in steps:
+        x = v
+        for _ in range(k):
+            x = math.nextafter(x, math.inf)
+        out.append(x)
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.builds(lambda b, ms: [m * b for m in ms], magnitudes, mantissas),
     st.builds(lambda v, n: [v] * n, st.floats(allow_nan=False, allow_infinity=False),
               st.integers(1, 5)),
     st.lists(st.sampled_from(extremes), min_size=1, max_size=6),
+    st.builds(ulps_above, st.floats(-1e300, 1e300),
+              st.lists(st.integers(0, 3), min_size=2, max_size=8)),
 ))
 @example([1e-158, 2e-158, 4e-158])
 @example([1e-170, 2e-170, 4e-170])
 @example([1e-200, 2e-200])
 @example([5e-324, 1e-323, 2e-323])
 @example([1.7e308, 1.6e308, 0.0])
+@example([1.0, 1.0000000000000002])
+@example([0.9, 0.9000000000000001, 0.9000000000000001])
+@example([2.2250738585072014e-308, 1.7e308, -1.7e308])
+@example(ulps_above(3.1296366167351746e-139, [0, 0, 1]))
 def test_mean_and_sd_exact_at_every_magnitude(values):
     if min(values) == max(values):
         # constant: the value itself, -0.0 only when every value is, and SD 0
@@ -195,10 +212,15 @@ def test_mean_and_sd_exact_at_every_magnitude(values):
             summarize(values)
         return
     s = summarize(values)
-    # past 2**480 the values are scaled down by 2**(480 - e) before they are
-    # summed, so a sum that cancels loses what falls below that scale's subnormal grid
-    e = math.frexp(max(map(abs, values)))[1]
-    assert_close(s.mean, mean, floor=math.ldexp(1.0, -1074 + max(0, e - 480)))
+    try:
+        math.fsum(sorted(values))  # summarize sums its sorted sample
+        floor = 2.0**-1074
+    except OverflowError:
+        # only a sum whose partials leave the float range is taken of the values
+        # scaled down by 2**(480 - e), and a sum that cancels loses what falls
+        # below that scale's subnormal grid
+        floor = math.ldexp(1.0, -1074 + math.frexp(max(map(abs, values)))[1] - 480)
+    assert_close(s.mean, mean, floor=floor)
     assert_close(s.sd, sd)
 
 

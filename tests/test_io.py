@@ -271,6 +271,24 @@ def test_errors_name_the_physical_line(tmp_path, reader):
     assert "line 4: " in str(info.value)
 
 
+FIRST_BAD_THEN_SHORT = {
+    iter_per_case_csv: "task_id,method_id,case_id,dsc\nt,m,c,oops\nt,m,c\n",
+    read_pairs_csv: "dsc_mean_pct,sd_pct\noops,14.0\n80.0\n",
+    read_corpus_csv: "paper_id,method_id,mean_dsc,test_n,sd\np1,a,oops,100,\np1,b,0.8\n",
+    read_calibration_csv: "task_id,method_id,n,mean_dsc,observed_sd\nt,m,100,oops,0.1\nt,m,100\n",
+}
+
+
+@pytest.mark.parametrize("reader", list(FIRST_BAD_THEN_SHORT), ids=lambda f: f.__name__)
+def test_first_bad_line_is_reported(tmp_path, reader):
+    # each row is checked as it is read, so a short row after a bad one is never reached
+    path = tmp_path / "in.csv"
+    path.write_text(FIRST_BAD_THEN_SHORT[reader])
+    with pytest.raises(DataFormatError, match="not a number") as info:
+        list(reader(path))
+    assert info.value.line == 2
+
+
 @pytest.mark.parametrize("reader, text, line", [
     (iter_per_case_csv, "task_id,method_id,case_id,dsc\nt,m,c,0.5\nt,m,c2,0.1_5\n", 3),
     (read_pairs_csv, "dsc_mean_pct,sd_pct\n80.0,14.0\n1_0,2\n", 3),

@@ -1,5 +1,4 @@
-import csv
-import io
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from segci import (
     ConstantFamily,
     SimSpec,
     SimulatedRows,
-    demo_corpus,
     generate_results,
     make_training_pairs,
     parse_family,
@@ -22,7 +20,7 @@ from segci import (
     summarize,
 )
 from segci.cli import bundled_demo_corpus_path
-from segci.io import CORPUS_HEADER
+from segci.io import read_corpus_csv
 from segci.rng import DOMAIN_CASES, gamma_sampler, gamma_variate, substream, substreams
 from test_imports import run_fresh
 
@@ -367,24 +365,17 @@ def test_infinite_shape_refused(call):
 
 class TestDemoCorpus:
     def test_shape(self):
-        papers = demo_corpus()
+        papers = read_corpus_csv(bundled_demo_corpus_path())
         assert len(papers) == 77
         assert all(len(p.methods) >= 2 for p in papers)
         assert all(p.test_n >= 12 for p in papers)
 
-    def test_deterministic(self):
-        assert demo_corpus() == demo_corpus()
-
     def test_means_ranked_descending(self):
-        for p in demo_corpus():
+        for p in read_corpus_csv(bundled_demo_corpus_path()):
             means = [m.mean_dsc for m in p.methods]
             assert means == sorted(means, reverse=True)
 
-    def test_matches_bundled_csv_bytes(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CORPUS_HEADER)
-        for p in demo_corpus():
-            for m in p.methods:
-                writer.writerow([p.paper_id, m.method_id, f"{m.mean_dsc:.6f}", p.test_n, ""])
-        assert buf.getvalue().encode("utf-8") == bundled_demo_corpus_path().read_bytes()
+    def test_bundled_csv_sha256(self):
+        # the shipped data is its own source; README gives the recipe it was drawn with
+        digest = hashlib.sha256(bundled_demo_corpus_path().read_bytes()).hexdigest()
+        assert digest == "814793b93efed2d810eb4284aabd08b762f795f045830a8a399919ca8b705bc3"
