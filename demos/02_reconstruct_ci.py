@@ -9,22 +9,20 @@ gives a non-parametric cross-check that lands very close.
 """
 
 from segci import (
-    AggregateReport,
-    approximate_sd,
     bootstrap_ci,
     compare_cis,
     paper_model,
     parametric_ci,
+    reconstruct_ci,
     sample_beta,
 )
 from segci.rng import substream
 
 model = paper_model()
 
-# A typical table row: mean DSC 0.90 on a 100-case test set, no SD.
-report = AggregateReport(mean_dsc=0.90, n=100)
-sd = approximate_sd(report, model)
-ci = parametric_ci(report.mean_dsc, sd, report.n)
+# A typical table row: mean DSC 0.90 on a 100-case test set, no SD,
+# so the interval uses the model's SD (its source is "model").
+ci, sd, _ = reconstruct_ci(0.90, 100, None, model)
 print(f"approximated SD: {sd:.6f}")
 print(f"95% CI: [{ci.lower:.5f}, {ci.upper:.5f}]  width {ci.width:.5f}")
 
@@ -33,9 +31,8 @@ for n in (10, 30, 100, 1000):
     w = parametric_ci(0.90, sd, n).width
     print(f"  n={n:>5}: width {w:.5f}")
 
-# When a paper does report an SD, prefer it over the approximation.
-reported = AggregateReport(mean_dsc=0.90, n=100, sd=0.06)
-ci_reported = parametric_ci(reported.mean_dsc, reported.sd, reported.n)
+# When a paper does report an SD, reconstruct_ci prefers it over the approximation.
+ci_reported, _, _ = reconstruct_ci(0.90, 100, 0.06, model)
 print(f"\nwith reported SD 0.06: [{ci_reported.lower:.5f}, {ci_reported.upper:.5f}]")
 
 # With access to per-case scores, compare against the bootstrap.

@@ -33,8 +33,8 @@ _EXPORTS = {
         "save_model", "sd_upper_bound_pct",
     ),
     "intervals": (
-        "AggregateReport", "CiComparison", "ConfidenceInterval", "approximate_sd",
-        "bootstrap_ci", "compare_cis", "parametric_ci",
+        "CiComparison", "ConfidenceInterval", "approximate_sd", "bootstrap_ci", "compare_cis",
+        "parametric_ci", "reconstruct_ci",
     ),
     "simulate": (
         "BetaFamily", "CaseResult", "ConstantFamily", "PairsResult", "SimSpec", "SimulatedRows",
@@ -78,12 +78,12 @@ class _Checked:
 
 
 def _mean_sd(values) -> "tuple[float, float] | None":
-    """The fsum mean and corrected two-pass n-1 SD of ``values``; None if all are equal.
+    """The mean and corrected two-pass n-1 SD of ``values``; None if all are equal.
 
     Outside [2**-432, 2**480) the values are scaled by a power of two before their squares
     are taken: none overflows, and none that matters underflows, as a sample that is not
-    constant spreads over at least 2**-53 of its largest value. The mean is the unscaled
-    sum's unless that sum overflows. A too-large SD raises OverflowError.
+    constant spreads over at least 2**-53 of its largest value. The mean is fsum's, or
+    the exact mean where fsum's partials overflow. A too-large SD raises OverflowError.
     """
     lo, hi = min(values), max(values)
     if lo == hi:
@@ -94,10 +94,11 @@ def _mean_sd(values) -> "tuple[float, float] | None":
     scaled = [math.ldexp(v, k) for v in values] if k else values
     try:
         mean = math.fsum(values) / n
-        center = math.ldexp(mean, k)
-    except OverflowError:  # a partial sum left the float range; the scaled one cannot
-        center = math.fsum(scaled) / n
-        mean = math.ldexp(center, -k)
+    except OverflowError:  # a partial sum left the float range; the exact mean cannot
+        from fractions import Fraction
+
+        mean = float(sum(map(Fraction, values)) / n)
+    center = math.ldexp(mean, k)
     squares = math.fsum([(v - center) ** 2 for v in scaled])
     # the correction removes what the rounding of the mean added to the squares
     ss = squares - math.fsum(v - center for v in scaled) ** 2 / n

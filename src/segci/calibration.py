@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .descriptive import summarize
 from .glm import GlmFit
-from .intervals import AggregateReport, approximate_sd, parametric_ci
+from .intervals import approximate_sd, parametric_ci
 
 __all__ = [
     "CalibrationRecord",
@@ -87,12 +87,8 @@ def calibrate(
     """
     records: list[CalibrationRecord] = []
     for task_id, method_id, n, mean_dsc, observed_sd in results:
-        if observed_sd < 0.0:
-            raise ValueError(
-                f"observed sd must be >= 0, got {observed_sd} for ({task_id}, {method_id})"
-            )
-        predicted_sd = approximate_sd(AggregateReport(mean_dsc, n), model)
         observed_width = parametric_ci(mean_dsc, observed_sd, n, alpha, clamp=False).width
+        predicted_sd = approximate_sd(mean_dsc, model)
         predicted_width = parametric_ci(mean_dsc, predicted_sd, n, alpha, clamp=False).width
         records.append(
             CalibrationRecord(

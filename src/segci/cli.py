@@ -189,7 +189,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_ci(args) -> int:
-    from .intervals import AggregateReport, approximate_sd, parametric_ci
+    from .intervals import reconstruct_ci
 
     _check_alpha(args.alpha)
     if not 0.0 <= args.mean <= 1.0:
@@ -199,12 +199,10 @@ def _cmd_ci(args) -> int:
     if args.sd is not None and not 0.0 <= args.sd < math.inf:
         raise UsageError(f"--sd must be finite and >= 0, got {args.sd}")
 
-    report = AggregateReport(args.mean, args.n, args.sd)
-    if report.sd is not None and not args.force_model_sd:
-        sd_used, sd_source = report.sd, "reported"
-    else:
-        sd_used, sd_source = approximate_sd(report, _load_model(args)), "model"
-    ci = parametric_ci(args.mean, sd_used, args.n, args.alpha, clamp=args.clamp)
+    ci, sd_used, sd_source = reconstruct_ci(
+        args.mean, args.n, args.sd, _load_model(args), args.alpha, args.clamp,
+        prefer_reported_sd=not args.force_model_sd,
+    )
     doc = {
         "lower": ci.lower,
         "upper": ci.upper,

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 from . import _Checked
 from .descriptive import SampleSummary, summarize
 from .glm import GlmFit
-from .intervals import AggregateReport, ConfidenceInterval, approximate_sd, parametric_ci
+from .intervals import ConfidenceInterval, reconstruct_ci
 
 __all__ = [
     "MethodResult",
@@ -110,19 +110,14 @@ def analyze_paper(
 ) -> PaperAnalysis:
     """Reconstruct the leader's CI and compare the runner-up against it.
 
-    With ``prefer_reported_sd`` the leader's own reported SD is used when
-    present; pass False to force the model approximation throughout (for
-    sensitivity analysis).
+    The leader's SD follows :func:`~segci.intervals.reconstruct_ci`'s rule; pass
+    ``prefer_reported_sd=False`` to force the model SD (for sensitivity analysis).
     """
     ranked = rank_methods(paper)
     first = ranked[0]
-    if prefer_reported_sd and first.reported_sd is not None:
-        sd = first.reported_sd
-        sd_source = "reported"
-    else:
-        sd = approximate_sd(AggregateReport(first.mean_dsc, paper.test_n), model)
-        sd_source = "model"
-    ci_first = parametric_ci(first.mean_dsc, sd, paper.test_n, alpha, clamp=clamp)
+    ci_first, _, sd_source = reconstruct_ci(
+        first.mean_dsc, paper.test_n, first.reported_sd, model, alpha, clamp, prefer_reported_sd
+    )
 
     second = ranked[1] if len(ranked) > 1 else None
     if second is None:

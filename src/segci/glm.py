@@ -218,12 +218,9 @@ def fit_gamma_log_glm(data: Sequence[TrainingPair]) -> GlmFit:
             f"need at least 4 training pairs, got {len(data)}"
         )
     x = [pair.dsc_mean_pct for pair in data]
-    y = [pair.sd_pct for pair in data]
-    if not all(0.0 < v < math.inf for v in y):
-        raise ValueError("all sd_pct values must be finite and strictly positive")
     if not all(0.0 <= v <= 100.0 for v in x):
         raise ValueError("dsc_mean_pct values must lie within [0, 100]")
-    return irls_gamma_log([(1.0, v, v * v) for v in x], y)
+    return irls_gamma_log([(1.0, v, v * v) for v in x], [pair.sd_pct for pair in data])
 
 
 def sd_upper_bound_pct(dsc_mean_pct: float) -> float:

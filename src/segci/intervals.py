@@ -5,9 +5,9 @@ The parametric interval is the classical t-based bracket
     mean +/- t(n-1, 1-alpha/2) * sd / sqrt(n)
 
 applied to aggregate results as published (mean, test size, SD). When a
-publication omits the SD, :func:`approximate_sd` fills it in from the
-quadratic mean-to-SD model. The percentile bootstrap operates on
-per-case values and serves as the non-parametric cross-check.
+publication omits the SD, :func:`reconstruct_ci` takes the quadratic
+mean-to-SD model's (:func:`approximate_sd`). The percentile bootstrap
+operates on per-case values and serves as the non-parametric cross-check.
 """
 
 from __future__ import annotations
@@ -16,18 +16,17 @@ import math
 from numbers import Integral
 from typing import NamedTuple, Sequence
 
-from . import _Checked
 from .glm import GlmFit, predict_sd_pct
 from .special import t_quantile
 
 __all__ = [
     "PARAMETRIC_T",
     "BOOTSTRAP_PERCENTILE",
-    "AggregateReport",
     "ConfidenceInterval",
     "CiComparison",
     "approximate_sd",
     "parametric_ci",
+    "reconstruct_ci",
     "bootstrap_ci",
     "compare_cis",
 ]
@@ -38,30 +37,6 @@ BOOTSTRAP_PERCENTILE = "bootstrap_percentile"
 MIN_BOOTSTRAP_RESAMPLES = 100
 # Draws per block of resamples: each block buffer holds 256 KB.
 _BLOCK_ELEMENTS = 2**15
-
-
-class _AggregateReport(NamedTuple):
-    mean_dsc: float
-    n: int
-    sd: float | None
-
-
-class AggregateReport(_Checked, _AggregateReport):
-    """Aggregate performance as extractable from a publication.
-
-    All values on the fraction scale; ``sd`` is None when unreported.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, mean_dsc: float, n: int, sd: float | None = None):
-        if not 0.0 <= mean_dsc <= 1.0:
-            raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
-        if not isinstance(n, Integral) or n < 1:
-            raise ValueError(f"test size must be an integer >= 1, got {n!r}")
-        if sd is not None and not 0.0 <= sd < math.inf:
-            raise ValueError(f"sd must be finite and >= 0, got {sd}")
-        return super().__new__(cls, mean_dsc, n, sd)
 
 
 class ConfidenceInterval(NamedTuple):
@@ -85,13 +60,9 @@ class CiComparison(NamedTuple):
     width_diff: float
 
 
-def approximate_sd(report: AggregateReport, model: "GlmFit | Sequence[float]") -> float:
-    """Model-based SD (fraction scale) for a report lacking one.
-
-    The model operates on the percent scale, so the mean is scaled up
-    and the prediction scaled back down.
-    """
-    return predict_sd_pct(model, report.mean_dsc * 100.0) / 100.0
+def approximate_sd(mean_dsc: float, model: "GlmFit | Sequence[float]") -> float:
+    """Model SD (fraction scale) at a mean DSC in [0, 1]; the model works on the percent scale."""
+    return predict_sd_pct(model, mean_dsc * 100.0) / 100.0
 
 
 def parametric_ci(
@@ -106,21 +77,21 @@ def parametric_ci(
     Parameters
     ----------
     mean_dsc : float
-        Mean on the fraction scale.
+        Mean on the fraction scale, in [0, 1].
     sd : float
-        Standard deviation of per-case values, fraction scale.
+        Standard deviation of per-case values, fraction scale; finite and >= 0.
     n : int
-        Test-set size, at least 2.
+        Test-set size, an integer of at least 2.
     alpha : float
         Significance level in [1e-323, 1); 0.05 gives the 95% interval.
     clamp : bool
         Restrict the interval to [0, 1] (a Dice score cannot leave it).
         A clamped interval is marked via the ``clamped`` field.
     """
-    if n < 2:
-        raise ValueError(f"parametric CI needs n >= 2 for n-1 degrees of freedom, got n={n}")
-    if not math.isfinite(mean_dsc):
-        raise ValueError(f"mean_dsc must be finite, got {mean_dsc}")
+    if not isinstance(n, Integral) or n < 2:
+        raise ValueError(f"n must be an integer >= 2 for n-1 degrees of freedom, got {n!r}")
+    if not 0.0 <= mean_dsc <= 1.0:
+        raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
     if not 0.0 <= sd < math.inf:
         raise ValueError(f"sd must be finite and >= 0, got {sd}")
     if not 0.0 < alpha / 2.0 < 0.5:  # below 1e-323, alpha / 2 rounds to 0
@@ -138,6 +109,27 @@ def parametric_ci(
     elif not math.isfinite(upper - lower):
         raise ValueError(f"unclamped interval overflows: sd={sd} at n={n} gives an infinite width")
     return ConfidenceInterval(lower, upper, alpha, PARAMETRIC_T, clamped)
+
+
+def reconstruct_ci(
+    mean_dsc: float,
+    n: int,
+    reported_sd: float | None,
+    model: "GlmFit | Sequence[float]",
+    alpha: float = 0.05,
+    clamp: bool = True,
+    prefer_reported_sd: bool = True,
+) -> tuple[ConfidenceInterval, float, str]:
+    """:func:`parametric_ci` of a published aggregate, with the SD it used and that SD's source.
+
+    The SD is ``reported_sd`` (``"reported"``) when given and preferred, else the model's
+    (``"model"``, :func:`approximate_sd`); ``prefer_reported_sd=False`` forces the model SD.
+    """
+    if prefer_reported_sd and reported_sd is not None:
+        sd, sd_source = reported_sd, "reported"
+    else:
+        sd, sd_source = approximate_sd(mean_dsc, model), "model"
+    return parametric_ci(mean_dsc, sd, n, alpha, clamp=clamp), sd, sd_source
 
 
 def bootstrap_ci(

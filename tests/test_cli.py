@@ -187,6 +187,17 @@ class TestModelFlag:
         assert code == 2
         assert str(path) in err
 
+    @pytest.mark.parametrize("text", [None, "not json"], ids=["missing", "invalid_json"])
+    def test_ci_with_reported_sd_reads_model(self, capsys, base_argv, tmp_path, text):
+        # with --sd, ci never opened --model and exited 0 whatever the file held
+        path = tmp_path / "model.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, *base_argv["ci"], "--model", str(path))
+        assert (code, out) == (2, "")
+        assert str(path) in err and "Traceback" not in err
+        assert run(capsys, *base_argv["analyze"], "--model", str(path)) == (2, "", err)
+
     def test_missing_model_file(self, capsys, tmp_path):
         path = tmp_path / "absent.json"
         code, _, err = run(capsys, "ci", "--mean", "0.9", "--n", "100", "--model", str(path))

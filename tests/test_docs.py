@@ -1,4 +1,4 @@
-"""README drift: the CLI table, the report field lists and the schema number."""
+"""README drift: the CLI table, the report field lists, the schema number, the Quickstart."""
 
 import argparse
 import re
@@ -8,7 +8,8 @@ from segci import cli
 from segci.calibration import CalibrationSummary
 from segci.descriptive import SampleSummary
 
-README = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split("\n"))
+README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README = " ".join(README_TEXT.split("\n"))
 
 
 def parser_flags():
@@ -50,3 +51,27 @@ def test_report_field_lists():
 
 def test_schema_number():
     assert re.findall(r'"schema": (\d+)', README) == [str(cli.REPORT_SCHEMA_VERSION)]
+
+
+def test_library_quickstart_numbers(capsys):
+    # each number in a comment is the value assigned on its line, or printed
+    # by it, to the digits shown
+    block = re.search(r"## Quickstart \(library\)\s+```python\n(.*?)```", README_TEXT, re.S)
+    code = block.group(1)
+    namespace = {}
+    exec(code, namespace)
+    printed = iter(capsys.readouterr().out.splitlines())
+    claims = 0
+    for line in code.splitlines():
+        statement, _, comment = line.partition("#")
+        shown = re.findall(r"\d+\.\d+", comment)
+        if not statement.strip() or not shown:
+            continue
+        if statement.startswith("print("):
+            values = [float(v) for v in next(printed).split()]
+        else:
+            values = [namespace[statement.split("=")[0].strip()]]
+        assert len(values) == len(shown), line
+        assert [f"{v:.{len(d.split('.')[1])}f}" for v, d in zip(values, shown)] == shown, line
+        claims += len(shown)
+    assert claims == 3

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 
 from mc_fixtures import beta_sample
 from segci import (
-    AggregateReport,
     ConfidenceInterval,
     approximate_sd,
     bootstrap_ci,
     compare_cis,
     paper_model,
     parametric_ci,
+    reconstruct_ci,
 )
 from segci.intervals import _resample_indices, _resample_means
 from segci.rng import DOMAIN_BOOTSTRAP, substream, substreams
@@ -25,24 +26,26 @@ PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
 
 class TestApproximateSd:
     def test_paper_model_at_090(self):
-        sd = approximate_sd(AggregateReport(0.90, 100), paper_model())
+        sd = approximate_sd(0.90, paper_model())
         assert sd == pytest.approx(0.080447, abs=1e-5)
 
     def test_paper_model_at_zero(self):
-        sd = approximate_sd(AggregateReport(0.0, 100), paper_model())
+        sd = approximate_sd(0.0, paper_model())
         assert sd == pytest.approx(0.076224, abs=1e-4)
 
     def test_constant_model(self):
-        sd = approximate_sd(AggregateReport(0.42, 10), (math.log(5.0), 0.0, 0.0))
+        sd = approximate_sd(0.42, (math.log(5.0), 0.0, 0.0))
         assert sd == pytest.approx(0.05, abs=1e-12)
 
+    # A published aggregate (mean, n, reported SD) that reconstruct_ci refuses;
+    # with no reported SD the mean reaches approximate_sd first.
     def test_report_validation(self):
         with pytest.raises(ValueError):
-            AggregateReport(1.2, 10)
+            reconstruct_ci(1.2, 10, None, paper_model())
         with pytest.raises(ValueError):
-            AggregateReport(0.5, 0)
+            reconstruct_ci(0.5, 0, None, paper_model())
         with pytest.raises(ValueError):
-            AggregateReport(0.5, 10, sd=-0.1)
+            reconstruct_ci(0.5, 10, -0.1, paper_model())
 
     @pytest.mark.parametrize("mean,sd", [
         (math.nan, None), (math.inf, None), (-math.inf, None),
@@ -50,12 +53,28 @@ class TestApproximateSd:
     ])
     def test_report_rejects_non_finite(self, mean, sd):
         with pytest.raises(ValueError):
-            AggregateReport(mean, 10, sd=sd)
+            reconstruct_ci(mean, 10, sd, paper_model())
 
     @pytest.mark.parametrize("n", [2.5, 10.0, "10"])
     def test_report_rejects_non_integer_n(self, n):
         with pytest.raises(ValueError):
-            AggregateReport(0.5, n)
+            reconstruct_ci(0.5, n, None, paper_model())
+
+
+class TestReconstructCi:
+    def test_sd_source_rule(self):
+        model = paper_model()
+        model_sd = approximate_sd(0.90, model)
+        assert reconstruct_ci(0.90, 100, None, model)[1:] == (model_sd, "model")
+        assert reconstruct_ci(0.90, 100, 0.06, model)[1:] == (0.06, "reported")
+        forced = reconstruct_ci(0.90, 100, 0.06, model, prefer_reported_sd=False)
+        assert forced[1:] == (model_sd, "model")
+        assert forced[0] == reconstruct_ci(0.90, 100, None, model)[0]
+
+    def test_interval_is_parametric_ci_of_the_sd_used(self):
+        ci, sd, _ = reconstruct_ci(0.99, 5, None, paper_model(), alpha=0.1, clamp=False)
+        assert ci == parametric_ci(0.99, sd, 5, 0.1, clamp=False)
+        assert reconstruct_ci(0.99, 5, 0.05, paper_model())[0] == parametric_ci(0.99, 0.05, 5)
 
 
 class TestParametricCi:
@@ -105,6 +124,20 @@ class TestParametricCi:
         base = parametric_ci(0.5, 0.1, 50, clamp=False).width
         tripled = parametric_ci(0.5, 0.3, 50, clamp=False).width
         assert tripled == pytest.approx(3.0 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("mean,sd,n,message", [
+        (1.5, 0.01, 10, "mean_dsc must lie in [0, 1], got 1.5"),  # was [1.4928, 1.0]
+        (math.nan, 0.1, 10, "mean_dsc must lie in [0, 1], got nan"),
+        (0.5, 0.1, 0, "n must be an integer >= 2 for n-1 degrees of freedom, got 0"),
+        (0.5, 0.1, 2.0, "n must be an integer >= 2 for n-1 degrees of freedom, got 2.0"),
+        (0.5, 0.1, 2.5, "n must be an integer >= 2 for n-1 degrees of freedom, got 2.5"),
+        (0.5, 0.1, "10", "n must be an integer >= 2 for n-1 degrees of freedom, got '10'"),
+        (0.5, -0.1, 10, "sd must be finite and >= 0, got -0.1"),
+        (0.5, math.inf, 10, "sd must be finite and >= 0, got inf"),
+    ])
+    def test_refuses_what_no_aggregate_holds(self, mean, sd, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parametric_ci(mean, sd, n)
 
     def test_errors(self):
         with pytest.raises(ValueError):

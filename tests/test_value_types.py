@@ -7,7 +7,6 @@ import re
 import pytest
 
 from segci import (
-    AggregateReport,
     BetaFamily,
     CaseResult,
     ConfidenceInterval,
@@ -24,12 +23,6 @@ METHOD = MethodResult("m", 0.9)
 
 # (constructor, arguments, the message the checks have always given)
 REFUSED = [
-    (AggregateReport, (1.5, 10), "mean_dsc must lie in [0, 1], got 1.5"),
-    (AggregateReport, (math.nan, 10), "mean_dsc must lie in [0, 1], got nan"),
-    (AggregateReport, (0.5, 0), "test size must be an integer >= 1, got 0"),
-    (AggregateReport, (0.5, 2.0), "test size must be an integer >= 1, got 2.0"),
-    (AggregateReport, (0.5, 10, -0.1), "sd must be finite and >= 0, got -0.1"),
-    (AggregateReport, (0.5, 10, math.inf), "sd must be finite and >= 0, got inf"),
     (MethodResult, ("m", -0.1), "mean_dsc must lie in [0, 1], got -0.1"),
     (MethodResult, ("m", 0.5, math.nan), "reported_sd must be finite and >= 0, got nan"),
     (PaperRecord, ("p", 1, (METHOD,)), "test_n must be an integer >= 2, got 1"),
@@ -52,7 +45,6 @@ def test_validating_classes_refuse_bad_values(cls, args, message):
 
 
 VALID = [
-    AggregateReport(0.9, 100, 0.05),
     MethodResult("m", 0.9, 0.1),
     PaperRecord("p", 10, (METHOD,)),
     BetaFamily(8.0, 2.0),
@@ -92,7 +84,6 @@ def test_defaults_keywords_repr_and_hash():
     assert spec == SimSpec(10, 19, 50, BetaFamily(8.0, 2.0), 42, ())
     assert spec.family is SimSpec(seed=1).family  # one shared, immutable default
     assert SimSpec(seed=7, exclude=((0, 1),)) == SimSpec(10, 19, 50, spec.family, 7, ((0, 1),))
-    assert AggregateReport(0.5, 10) == AggregateReport(mean_dsc=0.5, n=10, sd=None)
     assert MethodResult("m", 0.5).reported_sd is None
     assert repr(MethodResult("m", 0.5)) == "MethodResult(method_id='m', mean_dsc=0.5, reported_sd=None)"
     assert repr(ConstantFamily(0.5)) == "ConstantFamily(value=0.5)"
