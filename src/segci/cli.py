@@ -81,7 +81,7 @@ def _load_model(args):
 
     try:
         return glm.paper_model() if args.model is None else glm.load_model(args.model)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # json's decoder recurses on nested arrays
         raise DataFormatError(f"bad model file: {exc}", args.model) from None
 
 

@@ -125,6 +125,8 @@ def reconstruct_ci(
     The SD is ``reported_sd`` (``"reported"``) when given and preferred, else the model's
     (``"model"``, :func:`approximate_sd`); ``prefer_reported_sd=False`` forces the model SD.
     """
+    if not 0.0 <= mean_dsc <= 1.0:  # before the model SD, which reads it on the percent scale
+        raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
     if prefer_reported_sd and reported_sd is not None:
         sd, sd_source = reported_sd, "reported"
     else:

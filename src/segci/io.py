@@ -50,47 +50,56 @@ CALIBRATION_HEADER = ["task_id", "method_id", "n", "mean_dsc", "observed_sd"]
 
 
 def _header(reader, path: "str | Path") -> list[str]:
-    """The first row of a ``csv.reader``; an empty file is refused."""
+    """The first row of a ``csv.reader``; an empty or unreadable file is refused."""
     try:
         return next(reader)
     except StopIteration:
         raise DataFormatError("file is empty, expected a header row", path, 1) from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _input_error(exc, path, reader) from None
 
 
-def _data_reader(fh, path: "str | Path", expected_header: list[str]):
-    """A ``csv.reader`` past the header row, which is checked.
+def _input_error(exc: "UnicodeDecodeError | csv.Error", path, reader) -> DataFormatError:
+    """The data error for a byte that is not UTF-8, or for a row that ``csv`` refuses."""
+    if isinstance(exc, csv.Error):
+        return DataFormatError(str(exc), path, reader.line_num)
+    # the decoder reads ahead of the rows, so a second pass finds the bad byte's line
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        line = next((n for n, text in enumerate(fh, 1) if re.search("[\udc80-\udcff]", text)), None)
+    byte = exc.object[exc.start]
+    return DataFormatError(f"byte {byte:#04x} is not UTF-8 ({exc.reason})", path, line)
 
-    Its ``line_num`` is the physical line on which the last row read
-    ends, counting the line breaks inside quoted fields.
+
+def _read_rows(path: "str | Path", expected_header: list[str]) -> Iterator:
+    """The ``csv.reader`` past the checked header, then the fields of each non-blank row.
+
+    Every row that is not blank must hold one field per header name, and a
+    file without data rows is refused. After each row the reader's
+    ``line_num`` is the physical line on which the row ends, counting the
+    line breaks inside quoted fields. A caller reads it when it needs it:
+    the per-case reader, the hot path, does so only for an error.
     """
-    reader = csv.reader(fh)
-    header = _header(reader, path)
-    if [h.strip() for h in header] != expected_header:
-        raise DataFormatError(
-            f"unexpected header {header!r}, expected {expected_header!r}", path, 1
-        )
-    return reader
-
-
-def _is_data(row: list[str], width: int, path, line_no: int) -> bool:
-    """False for a blank row; raises for a row without ``width`` fields."""
-    if not "".join(row).strip():
-        return False
-    if len(row) != width:
-        raise DataFormatError(f"expected {width} fields, found {len(row)}", path, line_no)
-    return True
-
-
-def _read_rows(path: "str | Path", expected_header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each non-blank data row, as it is read; none is refused."""
+    width = len(expected_header)
     found = False
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _data_reader(fh, path, expected_header)
-        for row in reader:
-            line_no = reader.line_num
-            if _is_data(row, len(expected_header), path, line_no):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = _header(reader, path)
+        if [h.strip() for h in header] != expected_header:
+            raise DataFormatError(f"unexpected header {header!r}, expected {expected_header!r}",
+                                  path, 1)
+        yield reader
+        try:
+            for row in reader:
+                if len(row) != width or not row[0].strip():  # not an ordinary row
+                    if not "".join(row).strip():
+                        continue
+                    if len(row) != width:
+                        raise DataFormatError(f"expected {width} fields, found {len(row)}",
+                                              path, reader.line_num)
                 found = True
-                yield line_no, row
+                yield row
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _input_error(exc, path, reader) from None
     if not found:
         raise DataFormatError("no data rows", path)
 
@@ -118,7 +127,7 @@ def _parse_int(cell: str, name: str, path, line_no: int) -> int:
 
 def detect_training_format(path: "str | Path") -> str:
     """Classify a training CSV as ``per_case`` or ``pairs`` by its header."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = _header(csv.reader(fh), path)
     stripped = [h.strip() for h in header]
     if stripped == PER_CASE_HEADER:
@@ -138,27 +147,17 @@ def iter_per_case_csv(path: "str | Path") -> Iterator[tuple[str, str, str, float
     Blank rows are skipped; any other row that is not four fields with a
     dsc in [0, 1] is refused, as is a file without data rows.
     """
-    found = False
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _data_reader(fh, path, PER_CASE_HEADER)
-        for row in reader:
-            try:
-                task_id, method_id, case_id, cell = row
-                dsc = float(cell)
-                valid = 0.0 <= dsc <= 1.0 and "_" not in cell
-            except ValueError:
-                valid = False
-            if not valid:
-                # a blank row is skipped; any other is refused by the shared checks
-                line_no = reader.line_num
-                if not _is_data(row, len(PER_CASE_HEADER), path, line_no):
-                    continue
-                dsc = _parse_float(row[3], "dsc", path, line_no)
-                raise DataFormatError(f"dsc must lie in [0, 1], got {dsc}", path, line_no)
-            found = True
-            yield task_id.strip(), method_id.strip(), case_id.strip(), dsc
-    if not found:
-        raise DataFormatError("no data rows", path)
+    rows = _read_rows(path, PER_CASE_HEADER)
+    reader = next(rows)
+    for task_id, method_id, case_id, cell in rows:
+        try:
+            dsc = float(cell)
+        except ValueError:
+            dsc = math.nan
+        if not 0.0 <= dsc <= 1.0 or "_" in cell:  # float() reads "1_0" as 10
+            dsc = _parse_float(cell, "dsc", path, reader.line_num)
+            raise DataFormatError(f"dsc must lie in [0, 1], got {dsc}", path, reader.line_num)
+        yield task_id.strip(), method_id.strip(), case_id.strip(), dsc
 
 
 class _Echo:
@@ -200,8 +199,10 @@ def write_per_case_csv(rows: Iterable[CaseResult], path: "str | Path") -> None:
 
 
 def read_pairs_csv(path: "str | Path") -> list[TrainingPair]:
-    out = []
-    for line_no, (mean_cell, sd_cell) in _read_rows(path, PAIRS_HEADER):
+    rows = _read_rows(path, PAIRS_HEADER)
+    reader, out = next(rows), []
+    for mean_cell, sd_cell in rows:
+        line_no = reader.line_num
         mean = _parse_float(mean_cell, "dsc_mean_pct", path, line_no)
         sd = _parse_float(sd_cell, "sd_pct", path, line_no)
         if not 0.0 <= mean <= 100.0:
@@ -225,7 +226,9 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
     methods: dict[str, list[MethodResult]] = {}
     test_ns: dict[str, tuple[int, int]] = {}
     lines: dict[tuple[str, str], int] = {}
-    for line_no, (paper_id, method_id, mean_cell, n_cell, sd_cell) in rows:
+    reader = next(rows)
+    for paper_id, method_id, mean_cell, n_cell, sd_cell in rows:
+        line_no = reader.line_num
         paper_id = paper_id.strip()
         mean = _parse_float(mean_cell, "mean_dsc", path, line_no)
         n = _parse_int(n_cell, "test_n", path, line_no)
@@ -262,7 +265,9 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
 def read_calibration_csv(path: "str | Path") -> list[tuple[str, str, int, float, float]]:
     rows = _read_rows(path, CALIBRATION_HEADER)
     out = []
-    for line_no, (task_id, method_id, n_cell, mean_cell, sd_cell) in rows:
+    reader = next(rows)
+    for task_id, method_id, n_cell, mean_cell, sd_cell in rows:
+        line_no = reader.line_num
         n = _parse_int(n_cell, "n", path, line_no)
         mean = _parse_float(mean_cell, "mean_dsc", path, line_no)
         sd = _parse_float(sd_cell, "observed_sd", path, line_no)

@@ -888,6 +888,149 @@ def test_numeric_flag_fuzz(capsys, tmp_path, command):
     check()
 
 
+def input_argv(command, path, tmp_path):
+    """A run of ``command`` that reads ``path``: the input CSV, or ci's model file."""
+    out = str(tmp_path / "out")
+    return {
+        "analyze": ["analyze", "--input", str(path), "--output", out],
+        # with --min-n 0 every record is kept, so the summary is never empty
+        "calibrate": ["calibrate", "--input", str(path), "--summary", out,
+                      "--points", str(tmp_path / "points.csv"), "--min-n", "0"],
+        "fit": ["fit", "--input", str(path), "--output", out],
+        "ci": ["ci", "--mean", "0.9", "--n", "100", "--model", str(path)],
+    }[command]
+
+
+CORPUS_LINES = "paper_id,method_id,mean_dsc,test_n,sd\np1,a,0.9,100,\np1,b,0.8,100,0.1\n"
+CALIBRATION_LINES = "task_id,method_id,n,mean_dsc,observed_sd\nt,m,100,0.8,0.1\nt,n,30,0.7,0.2\n"
+PER_CASE_LINES = "".join(
+    ["task_id,method_id,case_id,dsc\n"]
+    + [f"t,{m},c{i},{0.1 * (m + i) + 0.05:.2f}\n" for m in range(5) for i in range(3)]
+)
+PAIRS_LINES = "dsc_mean_pct,sd_pct\n" + "".join(f"{x}.0,{20 - x / 10}\n" for x in range(10, 100, 15))
+# (command, a valid input of the format it reads)
+CSV_INPUTS = [("analyze", CORPUS_LINES), ("calibrate", CALIBRATION_LINES),
+              ("fit", PER_CASE_LINES), ("fit", PAIRS_LINES)]
+CSV_IDS = ["corpus", "calibration", "per_case", "pairs"]
+LONG_FIELD = b'p1,"' + b"x" * 200_000  # csv refuses a field past 131,072 characters
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command, expected", [
+        ("analyze", "unexpected header ['paper', 'method_id'], "
+                    "expected ['paper_id', 'method_id', 'mean_dsc', 'test_n', 'sd']"),
+        ("calibrate", "unexpected header ['paper', 'method_id'], "
+                      "expected ['task_id', 'method_id', 'n', 'mean_dsc', 'observed_sd']"),
+        ("fit", "unrecognized header ['paper', 'method_id']; expected "
+                "['task_id', 'method_id', 'case_id', 'dsc'] or ['dsc_mean_pct', 'sd_pct']"),
+    ])
+    def test_wrong_header(self, capsys, tmp_path, command, expected):
+        path = tmp_path / "in.csv"
+        path.write_text("paper,method_id\np1,a\n")
+        assert run(capsys, *input_argv(command, path, tmp_path)) == (
+            2, "", f"error: {path}: line 1: {expected}\n")
+
+    @pytest.mark.parametrize("command, text", [(c, t.split("\n")[0]) for c, t in CSV_INPUTS],
+                             ids=CSV_IDS)
+    def test_no_data_rows(self, capsys, tmp_path, command, text):
+        path = tmp_path / "in.csv"
+        path.write_text(text + "\n\n , \n")  # blank rows are not data
+        assert run(capsys, *input_argv(command, path, tmp_path)) == (
+            2, "", f"error: {path}: no data rows\n")
+
+    def test_corpus_test_n_below_two(self, capsys, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("paper_id,method_id,mean_dsc,test_n,sd\np1,a,0.9,1,\n")
+        assert run(capsys, *input_argv("analyze", path, tmp_path)) == (
+            2, "", f"error: {path}: line 2: test_n must be an integer >= 2, got 1\n")
+
+    def test_fraction_scale_model(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"coefficients": [2.031, 0.0726, -0.0008], "scale": "fraction"}')
+        assert run(capsys, *input_argv("ci", path, tmp_path)) == (
+            2, "", f"error: {path}: bad model file: unsupported model scale 'fraction'\n")
+
+    def test_fit_notes_dropped_and_skipped_groups(self, capsys, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(PER_CASE_LINES + "t,constant,c1,0.5\nt,constant,c2,0.5\nt,single,c1,0.4\n")
+        code, _, err = run(capsys, *input_argv("fit", path, tmp_path))
+        assert code == 0
+        assert err.splitlines()[0] == (
+            "note: dropped 1 zero-SD group(s), skipped 1 group(s) with fewer than 2 cases")
+
+    @pytest.mark.parametrize("command, text", CSV_INPUTS, ids=CSV_IDS)
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path, command, text):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        plain = run(capsys, *input_argv(command, path, tmp_path))
+        assert plain[0] == 0
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert run(capsys, *input_argv(command, path, tmp_path)) == plain
+
+    # The decoder reads 8 KB at a time: without blank rows the header read meets
+    # the bad byte, and past 100 blank rows of 101 bytes the row loop does.
+    @pytest.mark.parametrize("blank_rows", [0, 100])
+    @pytest.mark.parametrize("command, text", CSV_INPUTS, ids=CSV_IDS)
+    def test_undecodable_byte_names_its_line(self, capsys, tmp_path, command, text, blank_rows):
+        header, first, rest = text.split("\n", 2)
+        data = f"{header}\n{first}\n" + (" " * 100 + "\n") * blank_rows
+        path = tmp_path / "in.csv"
+        path.write_bytes(data.encode() + b"t\xe9" + rest.encode())  # a Latin-1 e-acute
+        assert run(capsys, *input_argv(command, path, tmp_path)) == (
+            2, "", f"error: {path}: line {blank_rows + 3}: byte 0xe9 is not UTF-8 "
+                   f"(invalid continuation byte)\n")
+
+    @pytest.mark.parametrize("line", [1, 2], ids=["header", "row"])
+    @pytest.mark.parametrize("command, text", CSV_INPUTS, ids=CSV_IDS)
+    def test_field_past_the_csv_limit(self, capsys, tmp_path, command, text, line):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.split("\n")[0].encode() + b"\n" + LONG_FIELD if line == 2
+                         else LONG_FIELD)
+        assert run(capsys, *input_argv(command, path, tmp_path)) == (
+            2, "", f"error: {path}: line {line}: field larger than field limit (131072)\n")
+
+
+# Each fuzzed command, a valid input that arbitrary bytes replace or
+# follow, and an input the fuzz always tries, alone and after the first
+# line: a field past csv's size limit, or a JSON array nested past the
+# recursion limit, which used to end `ci --model` in a RecursionError.
+BYTE_FUZZ = {
+    "analyze": ("analyze", CORPUS_LINES, LONG_FIELD),
+    "calibrate": ("calibrate", CALIBRATION_LINES, LONG_FIELD),
+    "fit_per_case": ("fit", PER_CASE_LINES, LONG_FIELD),
+    "fit_pairs": ("fit", PAIRS_LINES, LONG_FIELD),
+    "ci_model": ("ci", '{"coefficients": [2.031, 0.0726, -0.0008], "scale": "percent"}\n',
+                 b"[" * 100_000),
+}
+
+
+@pytest.mark.parametrize("target", sorted(BYTE_FUZZ))
+def test_input_byte_fuzz(capsys, tmp_path, target):
+    # any bytes are read, or refused as a data error that names the file
+    command, text, always = BYTE_FUZZ[target]
+    prefix = text.split("\n")[0].encode()
+    path = tmp_path / "in"
+    argv = input_argv(command, path, tmp_path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.binary() | st.binary().map(lambda tail: prefix + tail)
+           | st.binary(max_size=8).map(lambda tail: text.encode() + tail))
+    @example(always)
+    @example(prefix + b"\n" + always)
+    def check(data):
+        path.write_bytes(data)
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2), (data, code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert err.startswith(f"error: {path}"), (data, err)
+        else:
+            assert "error:" not in err, (data, err)
+
+    check()
+
+
 @pytest.mark.parametrize("command", ["ci", "analyze", "calibrate"])
 def test_alpha_whose_half_underflows(capsys, base_argv, command):
     # alpha / 2 rounds to 0: the error used to name t_quantile's argument p

@@ -37,8 +37,7 @@ class TestApproximateSd:
         sd = approximate_sd(0.42, (math.log(5.0), 0.0, 0.0))
         assert sd == pytest.approx(0.05, abs=1e-12)
 
-    # A published aggregate (mean, n, reported SD) that reconstruct_ci refuses;
-    # with no reported SD the mean reaches approximate_sd first.
+    # A published aggregate (mean, n, reported SD) that reconstruct_ci refuses.
     def test_report_validation(self):
         with pytest.raises(ValueError):
             reconstruct_ci(1.2, 10, None, paper_model())
@@ -75,6 +74,14 @@ class TestReconstructCi:
         ci, sd, _ = reconstruct_ci(0.99, 5, None, paper_model(), alpha=0.1, clamp=False)
         assert ci == parametric_ci(0.99, sd, 5, 0.1, clamp=False)
         assert reconstruct_ci(0.99, 5, 0.05, paper_model())[0] == parametric_ci(0.99, 0.05, 5)
+
+    @pytest.mark.parametrize("mean", [1.5, -0.5, math.nan], ids=["above", "below", "nan"])
+    @pytest.mark.parametrize("sd", [None, 0.1], ids=["model_sd", "reported_sd"])
+    def test_mean_refused_on_the_fraction_scale(self, mean, sd):
+        # the model-SD path gave the percent-scale "mean DSC must lie in [0, 100], got 150.0"
+        with pytest.raises(ValueError) as info:
+            reconstruct_ci(mean, 10, sd, paper_model())
+        assert str(info.value) == f"mean_dsc must lie in [0, 1], got {mean}"
 
 
 class TestParametricCi:
@@ -236,6 +243,11 @@ class TestBootstrapCi:
             bootstrap_ci([], seed=1)
         with pytest.raises(ValueError):
             bootstrap_ci([0.5, 0.6], n_resamples=50, seed=1)
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, math.nan])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got "):
+            bootstrap_ci([0.1, 0.5, 0.9], alpha=alpha, seed=1)
 
     @pytest.mark.parametrize("alpha, smallest", [(1e-6, 1_999_999), (1e-12, 1_999_999_999_999),
                                                  (0.001, 1999)])

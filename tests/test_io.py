@@ -55,6 +55,19 @@ def test_detect_rejects_unknown_header(tmp_path):
         detect_training_format(bad)
 
 
+@pytest.mark.parametrize("reader", [iter_per_case_csv, read_pairs_csv, read_corpus_csv,
+                                    read_calibration_csv], ids=lambda f: f.__name__)
+def test_unexpected_header_is_refused_on_line_1(tmp_path, reader):
+    # segci fit classifies the header first, so the CLI never reaches this
+    # check in the per-case and pairs readers
+    path = tmp_path / "in.csv"
+    path.write_text("mean,sd\n0.9,0.1\n")
+    with pytest.raises(DataFormatError, match=r"line 1: unexpected header \['mean', 'sd'\], "
+                                              r"expected \[") as info:
+        list(reader(path))
+    assert info.value.line == 1
+
+
 def test_empty_file(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
