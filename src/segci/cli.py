@@ -174,10 +174,9 @@ def _cmd_fit(args) -> int:
         pairs = sio.read_pairs_csv(args.input)
     try:
         fit = glm.fit_gamma_log_glm(pairs)
+        glm.save_model(fit, args.output)  # refuses a model that --model would refuse
     except ValueError as exc:  # InsufficientDataError and RankDeficientError included
         raise DataFormatError(str(exc), args.input) from None
-
-    glm.save_model(fit, args.output)
     print(f"coefficients: {fit.coefficients[0]:.6f} {fit.coefficients[1]:.6f} {fit.coefficients[2]:.6f}")
     print(f"deviance: {fit.deviance:.6f}")
     print(f"dispersion: {fit.dispersion:.6f}" if fit.dispersion is not None else "dispersion: n/a")

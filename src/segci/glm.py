@@ -80,48 +80,26 @@ def _dot(a: Sequence[float], b: Sequence[float]) -> float:
     return math.fsum(map(mul, a, b))
 
 
-def _householder_qr(
-    columns: Sequence[Sequence[float]],
-) -> tuple[list[list[float]], list[list[float]]]:
-    """Reduced QR of the n x p matrix with these columns, by Householder reflections.
+def _qr(columns: Sequence[Sequence[float]]) -> tuple[list[list[float]], list[list[float]]]:
+    """Reduced QR of the n x p matrix with these columns, by classical Gram–Schmidt.
 
-    Returns Q's first min(n, p) columns and R's rows (R[k][j] for j >= k).
-    Column k's reflection maps its rows k.. onto -sign(x0) * |x| e1, as
-    LAPACK's does, so |R[k][k]| is the norm of what is left of column k.
+    Each column is projected off the earlier Q columns twice ("twice is
+    enough": Giraud, Langou & Rozložník 2005), and R[k][j] sums the two
+    projection coefficients. R[k][k] is the norm of what is left of
+    column k. Returns Q's first min(n, p) columns and R's rows.
     """
-    n, p = len(columns[0]), len(columns)
-    k_max = min(n, p)
-    work = [list(col) for col in columns]
-    reflectors: list[tuple[list[float], float] | None] = []
-    r = [[0.0] * p for _ in range(k_max)]
-    for k in range(k_max):
-        x = work[k][k:]
-        norm = math.hypot(*x)
-        if norm == 0.0:
-            reflectors.append(None)
-        else:
-            alpha = -math.copysign(norm, x[0])
-            x[0] -= alpha
-            scale = -alpha * x[0]  # v'v / 2
-            reflectors.append((x, scale))
-            for j in range(k + 1, p):
-                tail = work[j][k:]
-                s = _dot(x, tail) / scale
-                work[j][k:] = [t - s * v for t, v in zip(tail, x)]
-            work[k][k] = alpha
-        for j in range(k, p):
-            r[k][j] = work[j][k]
-    q = []
-    for j in range(k_max):
-        col = [0.0] * n
-        col[j] = 1.0
-        for k in range(j, -1, -1):  # Q e_j = H_0 ... H_j e_j
-            if reflectors[k] is not None:
-                v, scale = reflectors[k]
-                tail = col[k:]
-                s = _dot(v, tail) / scale
-                col[k:] = [t - s * w for t, w in zip(tail, v)]
-        q.append(col)
+    n = len(columns[0])
+    q: list[list[float]] = []
+    r = [[0.0] * len(columns) for _ in range(min(n, len(columns)))]
+    for j, col in enumerate(columns):
+        v = list(col)
+        for _ in range(2):
+            for k, s in enumerate([_dot(u, v) for u in q]):
+                r[k][j] += s
+                v = [a - s * b for a, b in zip(v, q[k])]
+        if j < n:
+            norm = r[j][j] = math.hypot(*v)
+            q.append([a / norm for a in v] if norm else v)
     return q, r
 
 
@@ -129,10 +107,10 @@ def irls_gamma_log(design, y: Sequence[float]) -> GlmFit:
     """Fit a Gamma/log-link GLM for an arbitrary design matrix.
 
     ``design`` is any n x p matrix given as a sequence of rows (a 2-D
-    array or a list of lists), ``y`` the n responses. One reduced
-    Householder QR factorisation X = QR serves every IRLS step (the
-    weights are constant): from mu = max(y, 1e-6), a step projects the
-    working response z = eta + (y - mu)/mu to gamma = Q'z, eta = Q gamma.
+    array or a list of lists), ``y`` the n responses. One reduced QR
+    factorisation X = QR by Gram–Schmidt (:func:`_qr`) serves every IRLS
+    step (the weights are constant): from mu = max(y, 1e-6), a step projects
+    the working response z = eta + (y - mu)/mu to gamma = Q'z, eta = Q gamma.
     The fit stops once the next step, Q'(y - mu)/mu, is at most 1e-12 in
     every coordinate (ln-SD units, whatever the scale of X's columns or
     of y), or after 100 steps; then R b = gamma gives the coefficients.
@@ -157,7 +135,7 @@ def irls_gamma_log(design, y: Sequence[float]) -> GlmFit:
                 raise ValueError(f"design entry [{i}, {j}] is {v}; predictors must be finite")
 
     columns = list(zip(*rows))
-    q, r = _householder_qr(columns)
+    q, r = _qr(columns)
     eps_n = max(n, p) * sys.float_info.epsilon
     rank = sum(abs(r[k][k]) > eps_n * math.hypot(*columns[k]) for k in range(len(r)))
     if rank < p:
@@ -268,7 +246,11 @@ _MODEL_SCHEMA_KEYS = {"coefficients", "dispersion", "scale", "n_obs", "converged
 
 
 def save_model(fit: GlmFit, path: "str | Path") -> None:
-    """Persist a fit as a JSON model document (percent scale, 6 decimals)."""
+    """Persist a fit as a JSON model document (percent scale, 6 decimals).
+
+    Before the file is opened, the document gets :func:`load_model`'s checks:
+    a model that loading would refuse raises ValueError and writes nothing.
+    """
     doc = {
         "coefficients": [round(c, 6) for c in fit.coefficients],
         "dispersion": round(fit.dispersion, 6) if fit.dispersion is not None else None,
@@ -276,6 +258,7 @@ def save_model(fit: GlmFit, path: "str | Path") -> None:
         "n_obs": fit.n_obs,
         "converged": fit.converged,
     }
+    _model_from_doc(doc)
     Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
@@ -292,19 +275,26 @@ def _model_from_doc(doc: dict) -> GlmFit:
     vertex = -b1 / (2.0 * b2) if b2 < 0.0 else 0.0
     for x in (0.0, 100.0, min(max(vertex, 0.0), 100.0)):
         predict_sd_pct(coefficients, x, clamp=False)
+    dispersion, n_obs, converged = doc.get("dispersion"), doc.get("n_obs"), doc.get("converged")
+    if not (dispersion is None or type(dispersion) in (int, float) and 0 <= dispersion < math.inf):
+        raise ValueError(f"model dispersion must be null or finite and >= 0, got {dispersion!r}")
+    if not (n_obs is None or type(n_obs) is int and n_obs >= 0):
+        raise ValueError(f"model n_obs must be null or an integer >= 0, got {n_obs!r}")
+    if not (converged is None or type(converged) is bool):
+        raise ValueError(f"model converged must be null or a boolean, got {converged!r}")
     return GlmFit(
         coefficients=coefficients,  # type: ignore[arg-type]
-        dispersion=doc.get("dispersion"),
+        dispersion=dispersion,
         deviance=None,
         iterations=0,
-        converged=doc.get("converged"),
-        n_obs=doc.get("n_obs"),
+        converged=converged,
+        n_obs=n_obs,
     )
 
 
 def load_model(path: "str | Path") -> GlmFit:
-    """Load a JSON model document produced by :func:`save_model`."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a JSON model document produced by :func:`save_model` (a leading BOM is skipped)."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(doc, dict):
         raise ValueError(f"model file must hold a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - _MODEL_SCHEMA_KEYS
@@ -319,5 +309,4 @@ def paper_model() -> GlmFit:
     Coefficients (2.0310, 0.0726, -0.0008) on the percent scale; the
     source did not report a dispersion estimate, so that field is None.
     """
-    text = resources.files("segci.data").joinpath("paper_model.json").read_text("utf-8")
-    return _model_from_doc(json.loads(text))
+    return load_model(resources.files("segci.data").joinpath("paper_model.json"))

@@ -62,6 +62,8 @@ class CiComparison(NamedTuple):
 
 def approximate_sd(mean_dsc: float, model: "GlmFit | Sequence[float]") -> float:
     """Model SD (fraction scale) at a mean DSC in [0, 1]; the model works on the percent scale."""
+    if not 0.0 <= mean_dsc <= 1.0:
+        raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
     return predict_sd_pct(model, mean_dsc * 100.0) / 100.0
 
 
@@ -125,8 +127,6 @@ def reconstruct_ci(
     The SD is ``reported_sd`` (``"reported"``) when given and preferred, else the model's
     (``"model"``, :func:`approximate_sd`); ``prefer_reported_sd=False`` forces the model SD.
     """
-    if not 0.0 <= mean_dsc <= 1.0:  # before the model SD, which reads it on the percent scale
-        raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
     if prefer_reported_sd and reported_sd is not None:
         sd, sd_source = reported_sd, "reported"
     else:

@@ -170,7 +170,20 @@ class TestModelFlag:
         '{"coefficients": [2.0, Infinity, 0], "scale": "percent"}',
         '{"coefficients": [2.0, 0, -Infinity], "scale": "percent"}',
         '{"coefficients": ["2.0", 0, 0], "scale": "percent"}',
-    ], ids=["empty_object", "not_json", "list", "overflow", "nan", "inf", "minus_inf", "string"])
+        # each loaded into GlmFit as given, and ci exited 0
+        '{"coefficients": [2.031, 0.0726, -0.0008], "scale": "percent", '
+        '"dispersion": [1, 2], "n_obs": "x", "converged": 7}',
+        '{"coefficients": [2.031, 0.0726, -0.0008], "scale": "percent", "dispersion": NaN}',
+        '{"coefficients": [2.031, 0.0726, -0.0008], "scale": "percent", "dispersion": -1}',
+        '{"coefficients": [2.031, 0.0726, -0.0008], "scale": "percent", "dispersion": true}',
+        '{"coefficients": [2.031, 0.0726, -0.0008], "scale": "percent", "n_obs": -1}',
+        '{"coefficients": [2.031, 0.0726, -0.0008], "scale": "percent", "n_obs": 189.0}',
+        '{"coefficients": [2.031, 0.0726, -0.0008], "scale": "percent", "n_obs": true}',
+        '{"coefficients": [2.031, 0.0726, -0.0008], "scale": "percent", "converged": 1}',
+        '{"coefficients": [2.031, 0.0726, -0.0008], "scale": "percent", "converged": "true"}',
+    ], ids=["empty_object", "not_json", "list", "overflow", "nan", "inf", "minus_inf", "string",
+            "wrong_field_types", "nan_dispersion", "negative_dispersion", "bool_dispersion",
+            "negative_n_obs", "float_n_obs", "bool_n_obs", "int_converged", "string_converged"])
     def test_bad_model_file_is_data_error(self, capsys, tmp_path, text):
         path = tmp_path / "model.json"
         path.write_text(text)
@@ -197,6 +210,16 @@ class TestModelFlag:
         assert (code, out) == (2, "")
         assert str(path) in err and "Traceback" not in err
         assert run(capsys, *base_argv["analyze"], "--model", str(path)) == (2, "", err)
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # refused with "Unexpected UTF-8 BOM (decode using utf-8-sig)", exit 2
+        text = (bundled_demo_corpus_path().parent / "paper_model.json").read_bytes()
+        path = tmp_path / "model.json"
+        path.write_bytes(text)
+        plain = run(capsys, "ci", "--mean", "0.9", "--n", "10", "--model", str(path))
+        assert plain[0] == 0
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        assert run(capsys, "ci", "--mean", "0.9", "--n", "10", "--model", str(path)) == plain
 
     def test_missing_model_file(self, capsys, tmp_path):
         path = tmp_path / "absent.json"
@@ -390,6 +413,17 @@ class TestFit:
         assert code == 2
         assert f"line 11: {message}" in err
         assert not (tmp_path / "m.json").exists()
+
+    def test_model_that_loading_refuses_is_not_written(self, capsys, tmp_path):
+        # exited 0 with these coefficients, and every --model run then exited 2
+        path = tmp_path / "pairs.csv"
+        path.write_text("dsc_mean_pct,sd_pct\n0,1\n1,10\n2,1000\n3,100000\n4,1e7\n5,1e9\n")
+        model_path = tmp_path / "m.json"
+        code, out, err = run(capsys, "fit", "--input", str(path), "--output", str(model_path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: model SD is not finite at mean DSC 100.0% "
+                       "(ln SD = 2363.160204)\n")
+        assert not model_path.exists()
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fit", "--input", str(tmp_path / "nope.csv"),

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from segci import (
     save_model,
     sd_upper_bound_pct,
 )
+from segci.glm import _qr
 from segci.io import iter_per_case_csv, write_per_case_csv
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
@@ -47,6 +49,26 @@ def numpy_irls(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
         if np.max(np.abs(q.T @ resid)) <= 1e-12:
             break
     return np.linalg.solve(r, gamma), iterations
+
+
+def mp_newton_fit(x: list[float], y: list[float]) -> list[float]:
+    """Gamma/log-link maximum likelihood at 50 digits, by Newton steps on the score.
+
+    The design holds the doubles that fit_gamma_log_glm builds (1, x, x * x
+    rounded), so the reference is the exact optimum of the fitted problem.
+    """
+    with mp.workdps(50):
+        design = mp.matrix([[1.0, v, v * v] for v in x])
+        b = mp.qr_solve(design, mp.matrix([mp.log(v) for v in y]))[0]
+        for _ in range(100):
+            eta = design * b
+            ratio = [v / mp.exp(eta[i]) for i, v in enumerate(y)]
+            score = design.T * mp.matrix([t - 1 for t in ratio])
+            step = mp.lu_solve(design.T * mp.diag(ratio) * design, score)
+            b += step
+            if max(abs(step[k] / b[k]) for k in range(3)) < mp.mpf(10) ** -40:
+                break
+        return [float(c) for c in b]
 
 
 class TestIrls:
@@ -196,6 +218,36 @@ class TestIrls:
         expected = np.asarray(base.coefficients) / scales
         expected[0] += math.log(1e6) / scales[0]
         assert np.allclose(scaled.coefficients, expected, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("width", [1e-3, 1e-4])
+    def test_narrow_design_matches_mpmath_optimum(self, width):
+        # 20 means spread over `width` points, cond(X) ~ 5e14 and 5e16: the
+        # Householder QR converged to coefficients off by 2.9e-6 and 3.5e-4
+        x = [80.0 + width * i / 19 for i in range(20)]
+        y = [
+            math.exp(2.0 + 0.05 * v - 0.0005 * v * v) * (1.0 + 0.2 * math.sin(3 * i))
+            for i, v in enumerate(x)
+        ]
+        fit = fit_gamma_log_glm([TrainingPair(a, b) for a, b in zip(x, y)])
+        assert fit.converged
+        for got, want in zip(fit.coefficients, mp_newton_fit(x, y)):
+            assert abs(got - want) <= 1e-8 * abs(want)
+
+    def test_q_orthonormal_wherever_rank_rule_accepts(self):
+        rng = np.random.default_rng(22)
+        accepted = 0
+        for _ in range(1000):
+            n = int(rng.integers(4, 40))
+            x = rng.uniform(0.0, 100.0) + 10.0 ** rng.uniform(-8.0, 1.0) * rng.random(n)
+            design = np.column_stack([np.ones(n), x, x * x])
+            try:
+                irls_gamma_log(design, np.ones(n))
+            except RankDeficientError:
+                continue
+            accepted += 1
+            q = np.array(_qr(design.T.tolist())[0])
+            assert np.max(np.abs(q @ q.T - np.eye(3))) <= 1e-13
+        assert 300 < accepted < 900  # the sweep crosses the rank boundary
 
     def test_dispersion_positive(self):
         x, y = mc_dataset(MC_SEEDS[2])

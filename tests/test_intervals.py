@@ -37,6 +37,13 @@ class TestApproximateSd:
         sd = approximate_sd(0.42, (math.log(5.0), 0.0, 0.0))
         assert sd == pytest.approx(0.05, abs=1e-12)
 
+    @pytest.mark.parametrize("mean", [1.5, -0.1, math.nan], ids=["above", "below", "nan"])
+    def test_mean_refused_on_the_fraction_scale(self, mean):
+        # read "mean DSC must lie in [0, 100], got 150.0", the percent scale of the model
+        with pytest.raises(ValueError) as info:
+            approximate_sd(mean, paper_model())
+        assert str(info.value) == f"mean_dsc must lie in [0, 1], got {mean}"
+
     # A published aggregate (mean, n, reported SD) that reconstruct_ci refuses.
     def test_report_validation(self):
         with pytest.raises(ValueError):
