@@ -10,6 +10,7 @@ whether performance gaps clear the reconstructed interval widths.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 
@@ -63,18 +64,31 @@ class DataFormatError(Exception):
         super().__init__(where + message)
 
 
-class _Checked:
-    """Mixin for a named tuple whose ``__new__`` validates its fields.
+def _checked(cls):
+    """Make every instance of the named tuple ``cls`` pass ``cls._check()``.
 
-    ``_replace`` builds through ``_make``, which would otherwise skip
-    the checks in ``__new__``.
+    The generated ``__new__`` is wrapped, so building, pickling and
+    copying check; ``_make`` builds through it, so ``_replace`` checks too.
     """
+    new = cls.__new__
 
-    __slots__ = ()
+    @functools.wraps(new)  # keeps the field names and defaults in inspect.signature
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed outside [0, 2**64): the random streams key on its low 64 bits."""
+    from numbers import Integral  # here, so that `import segci` does not load it
+
+    if not (isinstance(seed, Integral) and 0 <= seed < 1 << 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _mean_sd(values) -> "tuple[float, float] | None":

@@ -14,7 +14,7 @@ import math
 from numbers import Integral
 from typing import NamedTuple, Sequence
 
-from . import _Checked
+from . import _checked
 from .descriptive import SampleSummary, summarize
 from .glm import GlmFit
 from .intervals import ConfidenceInterval, reconstruct_ci
@@ -31,44 +31,38 @@ __all__ = [
 ]
 
 
-class _MethodResult(NamedTuple):
-    method_id: str
-    mean_dsc: float
-    reported_sd: float | None
-
-
-class MethodResult(_Checked, _MethodResult):
+@_checked
+class MethodResult(NamedTuple):
     """One method's mean DSC in a comparison table; ``reported_sd`` is None when unreported."""
 
-    __slots__ = ()
+    method_id: str
+    mean_dsc: float
+    reported_sd: float | None = None
 
-    def __new__(cls, method_id: str, mean_dsc: float, reported_sd: float | None = None):
+    def _check(self) -> None:
+        _, mean_dsc, reported_sd = self
         if not 0.0 <= mean_dsc <= 1.0:
             raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
         if reported_sd is not None and not 0.0 <= reported_sd < math.inf:
             raise ValueError(f"reported_sd must be finite and >= 0, got {reported_sd}")
-        return super().__new__(cls, method_id, mean_dsc, reported_sd)
 
 
-class _PaperRecord(NamedTuple):
+@_checked
+class PaperRecord(NamedTuple):
+    """One paper's comparison table: methods evaluated on a shared test set."""
+
     paper_id: str
     test_n: int
     methods: tuple[MethodResult, ...]
 
-
-class PaperRecord(_Checked, _PaperRecord):
-    """One paper's comparison table: methods evaluated on a shared test set."""
-
-    __slots__ = ()
-
-    def __new__(cls, paper_id: str, test_n: int, methods: tuple[MethodResult, ...]):
+    def _check(self) -> None:
+        paper_id, test_n, methods = self
         if not isinstance(test_n, Integral) or test_n < 2:
             raise ValueError(f"test_n must be an integer >= 2, got {test_n!r}")
         if not methods:
             raise ValueError(f"paper {paper_id} carries no methods")
         if len({m.method_id for m in methods}) < len(methods):
             raise ValueError(f"paper {paper_id} lists a method id twice")
-        return super().__new__(cls, paper_id, test_n, methods)
 
 
 class PaperAnalysis(NamedTuple):

@@ -16,6 +16,7 @@ import math
 from numbers import Integral
 from typing import NamedTuple, Sequence
 
+from . import _check_seed
 from .glm import GlmFit, predict_sd_pct
 from .special import t_quantile
 
@@ -150,8 +151,9 @@ def bootstrap_ci(
     rounded sum of its draws, computed exactly, divided by n, so blocking
     and summation order never change a bit.
 
-    Non-finite values are refused, as is a sample whose resample sums
-    overflow the float range, and an alpha so small that
+    Non-finite values are refused, as are a seed that is not an integer
+    in [0, 2**64), a sample whose resample sums overflow the float
+    range, and an alpha so small that
     (n_resamples + 1) * alpha / 2 < 1: its interval would be the smallest
     and largest resample means whatever alpha is (Davison & Hinkley 1997,
     section 5.2).
@@ -169,6 +171,7 @@ def bootstrap_ci(
         )
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_seed(seed)
     needed = 2.0 / alpha  # B + 1 >= 2 / alpha, i.e. (B + 1) * alpha / 2 >= 1
     if n_resamples + 1 < needed:
         fix = f"n_resamples >= {math.ceil(needed) - 1}" if needed < math.inf else "a larger alpha"

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["substream", "substreams", "gamma_sampler", "gamma_variate"]
+__all__ = ["substream", "substreams", "gamma_sampler"]
 
 _U64_MASK = (1 << 64) - 1
 
@@ -120,7 +120,3 @@ def gamma_sampler(shape: float, rng: np.random.Generator) -> Callable[[], float]
 
     return boosted
 
-
-def gamma_variate(shape: float, rng: np.random.Generator) -> float:
-    """One Gamma(shape, 1) draw; see :func:`gamma_sampler`."""
-    return gamma_sampler(shape, rng)()

@@ -16,7 +16,7 @@ from collections import defaultdict
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from . import _Checked, _mean_sd
+from . import _check_seed, _checked, _mean_sd
 from .glm import TrainingPair
 
 # numpy loads with segci.rng, inside the functions that draw: `segci fit`
@@ -40,12 +40,20 @@ __all__ = [
 
 def sample_beta(a: float, b: float, rng: np.random.Generator) -> float:
     """One Beta(a, b) draw as the ratio X / (X + Y) of two Gamma variates."""
-    return BetaFamily(a, b).draw(rng)
+    return BetaFamily(a, b).sampler(rng)()
 
 
-class _BetaFamily(NamedTuple):
+@_checked
+class BetaFamily(NamedTuple):
+    """Per-case scores are iid Beta(a, b) within every (task, method) group."""
+
     a: float
     b: float
+
+    def _check(self) -> None:
+        a, b = self
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(f"beta parameters must be positive and finite, got ({a}, {b})")
 
     def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
         """Zero-argument draw from ``rng``'s current state; see :func:`gamma_sampler`."""
@@ -66,40 +74,19 @@ class _BetaFamily(NamedTuple):
 
         return draw
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.sampler(rng)()
 
+@_checked
+class ConstantFamily(NamedTuple):
+    """Every case scores exactly ``value``."""
 
-class BetaFamily(_Checked, _BetaFamily):
-    """Per-case scores are iid Beta(a, b) within every (task, method) group."""
-
-    __slots__ = ()
-
-    def __new__(cls, a: float, b: float):
-        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-            raise ValueError(f"beta parameters must be positive and finite, got ({a}, {b})")
-        return super().__new__(cls, a, b)
-
-
-class _ConstantFamily(NamedTuple):
     value: float
+
+    def _check(self) -> None:
+        if not 0.0 <= self.value <= 1.0:
+            raise ValueError(f"constant DSC must lie in [0, 1], got {self.value}")
 
     def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
         return lambda: self.value
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.value
-
-
-class ConstantFamily(_Checked, _ConstantFamily):
-    """Every case scores exactly ``value``."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: float):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"constant DSC must lie in [0, 1], got {value}")
-        return super().__new__(cls, value)
 
 
 def parse_family(text: str) -> "BetaFamily | ConstantFamily":
@@ -119,43 +106,38 @@ def parse_family(text: str) -> "BetaFamily | ConstantFamily":
     raise ValueError(f"unknown family {text!r}; expected beta:a,b or constant:c")
 
 
-class _SimSpec(NamedTuple):
-    n_tasks: int
-    methods_per_task: int
-    cases_per_task: int
-    family: "BetaFamily | ConstantFamily"
-    seed: int
-    exclude: tuple[tuple[int, int], ...]
-
-
-class SimSpec(_Checked, _SimSpec):
+@_checked
+class SimSpec(NamedTuple):
     """Shape of a simulated challenge.
 
     Defaults mirror a multi-task challenge with 19 methods on 10 tasks.
     ``exclude`` drops specific zero-based (task, method) index pairs to
-    mimic missing submissions.
+    mimic missing submissions. ``seed`` is an integer in [0, 2**64).
     """
 
-    __slots__ = ()
+    n_tasks: int = 10
+    methods_per_task: int = 19
+    cases_per_task: int = 50
+    family: "BetaFamily | ConstantFamily" = BetaFamily(8.0, 2.0)
+    seed: int = 42
+    exclude: tuple[tuple[int, int], ...] = ()
 
-    def __new__(
-        cls,
-        n_tasks: int = 10,
-        methods_per_task: int = 19,
-        cases_per_task: int = 50,
-        family: "BetaFamily | ConstantFamily" = BetaFamily(8.0, 2.0),
-        seed: int = 42,
-        exclude: tuple[tuple[int, int], ...] = (),
-    ):
-        if min(n_tasks, methods_per_task, cases_per_task) < 1:
+    def _check(self) -> None:
+        from numbers import Integral  # here, so that `segci fit` does not load it
+
+        n_tasks, methods_per_task, cases_per_task, _, seed, exclude = self
+        counts = n_tasks, methods_per_task, cases_per_task
+        if not all(isinstance(k, Integral) for k in counts):
+            raise ValueError(f"SimSpec counts must be integers, got {counts!r}")
+        if min(counts) < 1:
             raise ValueError("all SimSpec counts must be >= 1")
+        _check_seed(seed)
         for t, m in exclude:
             if not (0 <= t < n_tasks and 0 <= m < methods_per_task):
                 raise ValueError(
                     f"excluded pair ({t}, {m}) lies outside tasks 0..{n_tasks - 1} "
                     f"and methods 0..{methods_per_task - 1}"
                 )
-        return super().__new__(cls, n_tasks, methods_per_task, cases_per_task, family, seed, exclude)
 
 
 class CaseResult(NamedTuple):
@@ -184,7 +166,7 @@ class SimulatedRows:
         return groups * spec.cases_per_task
 
     def __iter__(self) -> Iterator[CaseResult]:
-        """Case c of method m on task t draws ``spec.family.draw(streams(t, m, c))``.
+        """Case c of method m on task t draws ``spec.family.sampler(streams(t, m, c))()``.
 
         The draws come from one :func:`~segci.rng.substreams` generator; the
         family's sampler is built once, since every reset returns that same

@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from segci.rng import substream
-from segci.rng import gamma_variate
+from segci.rng import gamma_sampler, substream
 
 # Generating coefficients and noise shape of the Monte-Carlo fit fixture.
 MC_TRUE = (2.0, 0.07, -0.0008)
@@ -33,7 +32,7 @@ def mc_dataset(seed: int) -> tuple[np.ndarray, np.ndarray]:
     mu = np.exp(b0 + b1 * x + b2 * x * x)
     y = np.array(
         [
-            gamma_variate(MC_SHAPE, substream(seed, _DOMAIN_MC_Y, i)) * mu[i] / MC_SHAPE
+            gamma_sampler(MC_SHAPE, substream(seed, _DOMAIN_MC_Y, i))() * mu[i] / MC_SHAPE
             for i in range(MC_N_PAIRS)
         ]
     )

@@ -810,6 +810,16 @@ class TestSimulate:
                          "--exclude", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_refused(self, capsys, tmp_path, seed):
+        # the streams key on the seed's low 64 bits: -1 drew the rows of
+        # 2**64 - 1, and 2**64 those of 0
+        out = tmp_path / "x.csv"
+        code, stdout, err = run(capsys, "simulate", "--output", str(out), "--seed", seed)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
 
 def peak_bytes(argv) -> int:
     """The tracemalloc peak of one in-process ``main(argv)``, which must succeed."""

@@ -283,6 +283,13 @@ class TestBootstrapCi:
         with pytest.raises(ValueError, match="finite"):
             bootstrap_ci([bad, bad], seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        # -1 drew the resamples of 2**64 - 1, and 1.5 failed with a bare TypeError
+        message = f"seed must be an integer in [0, 2**64), got {seed}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bootstrap_ci([0.5, 0.6, 0.7], seed=seed)
+
     def test_rejects_overflowing_resample_sums(self):
         with pytest.raises(ValueError, match="overflow"):
             bootstrap_ci([0.5, 1e308, 1e308, 0.7], seed=1)

@@ -21,7 +21,7 @@ from segci import (
 )
 from segci.cli import bundled_demo_corpus_path
 from segci.io import read_corpus_csv
-from segci.rng import DOMAIN_CASES, gamma_sampler, gamma_variate, substream, substreams
+from segci.rng import DOMAIN_CASES, gamma_sampler, substream, substreams
 from test_imports import run_fresh
 
 
@@ -43,14 +43,14 @@ def reference_gamma(shape, rng):
 
 
 def reference_results(spec):
-    """generate_results as a plain loop: one family.draw and one set of ids per case."""
+    """generate_results as a plain loop: one family sampler and one set of ids per case."""
     streams = substreams(spec.seed, DOMAIN_CASES)
     return [
         CaseResult(
             task_id=f"task{t + 1:02d}",
             method_id=f"method{m + 1:02d}",
             case_id=f"case{c + 1:05d}",
-            dsc=spec.family.draw(streams(t, m, c)),
+            dsc=spec.family.sampler(streams(t, m, c))(),
         )
         for t in range(spec.n_tasks)
         for m in range(spec.methods_per_task)
@@ -103,7 +103,7 @@ class TestSampleBeta:
         with pytest.raises(ValueError):
             sample_beta(0.0, 1.0, rng)
         with pytest.raises(ValueError):
-            gamma_variate(-2.0, rng)
+            gamma_sampler(-2.0, rng)()
 
     def test_underflow_is_arithmetic_error(self):
         # at a = b = 0.005 both Gamma variates of stream 327 round to 0
@@ -140,7 +140,7 @@ class TestGammaSampler:
             want = reference_gamma(shape, streams(i))
             # one sampler reused across resets, and a fresh one per stream
             assert draw_at(streams, i, draw).hex() == want.hex()
-            assert gamma_variate(shape, streams(i)).hex() == want.hex()
+            assert gamma_sampler(shape, streams(i))().hex() == want.hex()
 
     @pytest.mark.parametrize("shape", [0.3, 2.5])
     def test_consumes_the_reference_draws(self, shape):
@@ -345,7 +345,7 @@ class TestParseFamily:
 
 
 @pytest.mark.parametrize("call", [
-    "gamma_variate(math.inf, substream(1, 5, 0))",
+    "gamma_sampler(math.inf, substream(1, 5, 0))()",
     "sample_beta(math.inf, 2.0, substream(1, 5, 0))",
     "sample_beta(2.0, math.inf, substream(1, 5, 0))",
 ], ids=["gamma", "beta_a", "beta_b"])
@@ -355,7 +355,7 @@ def test_infinite_shape_refused(call):
     code = (
         "import math\n"
         "from segci import sample_beta\n"
-        "from segci.rng import gamma_variate, substream\n"
+        "from segci.rng import gamma_sampler, substream\n"
         f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n"
     )
     proc = run_fresh("-c", code, timeout=30)

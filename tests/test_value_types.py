@@ -1,5 +1,7 @@
-"""The value types are immutable named tuples; the validating ones check in ``__new__``."""
+"""The value types are immutable named tuples; the validating ones check every build."""
 
+import copy
+import inspect
 import math
 import pickle
 import re
@@ -20,8 +22,9 @@ from segci import (
 )
 
 METHOD = MethodResult("m", 0.9)
+FAMILY = BetaFamily(8.0, 2.0)
 
-# (constructor, arguments, the message the checks have always given)
+# (constructor, arguments, the message); rows are only appended, so case ids stay stable
 REFUSED = [
     (MethodResult, ("m", -0.1), "mean_dsc must lie in [0, 1], got -0.1"),
     (MethodResult, ("m", 0.5, math.nan), "reported_sd must be finite and >= 0, got nan"),
@@ -34,6 +37,12 @@ REFUSED = [
     (SimSpec, (0,), "all SimSpec counts must be >= 1"),
     (PaperRecord, ("p", 10, (METHOD, METHOD._replace(mean_dsc=0.5))),
      "paper p lists a method id twice"),
+    (SimSpec, (2.5,), "SimSpec counts must be integers, got (2.5, 19, 50)"),
+    (SimSpec, (10, 19, 50, FAMILY, 1.5), "seed must be an integer in [0, 2**64), got 1.5"),
+    (SimSpec, (10, 19, 50, FAMILY, -1), "seed must be an integer in [0, 2**64), got -1"),
+    # 42 + 2**64 gave the rows of seed 42
+    (SimSpec, (10, 19, 50, FAMILY, 42 + 2**64),
+     "seed must be an integer in [0, 2**64), got 18446744073709551658"),
 ]
 
 
@@ -61,9 +70,14 @@ def test_validating_classes_check_replace_and_pickle(value):
     bad = next(args for cls, args, _ in REFUSED if cls is type(value))
     with pytest.raises(ValueError):
         value._replace(**dict(zip(value._fields, bad)))
+    with pytest.raises(ValueError):
+        type(value)._make(bad)
     assert value._replace() == value
     assert type(value._replace()) is type(value)
     assert pickle.loads(pickle.dumps(value)) == value
+    for copied in (copy.copy(value), copy.deepcopy(value)):
+        assert copied == value
+        assert type(copied) is type(value)
 
 
 @pytest.mark.parametrize("value", [
@@ -93,3 +107,13 @@ def test_defaults_keywords_repr_and_hash():
     assert hash(PaperRecord("p", 10, (METHOD,))) == hash(PaperRecord("p", 10, (METHOD,)))
     assert PaperRecord("p", 10, (METHOD,))._asdict() == {
         "paper_id": "p", "test_n": 10, "methods": (METHOD,)}
+    assert SimSpec._field_defaults == {
+        "n_tasks": 10, "methods_per_task": 19, "cases_per_task": 50,
+        "family": BetaFamily(8.0, 2.0), "seed": 42, "exclude": ()}
+    assert MethodResult._field_defaults == {"reported_sd": None}
+    for cls in (MethodResult, PaperRecord, BetaFamily, ConstantFamily, SimSpec):
+        assert cls.__bases__ == (tuple,)
+        params = inspect.signature(cls).parameters.values()
+        assert [p.name for p in params] == list(cls._fields)
+        assert {p.name: p.default for p in params if p.default is not p.empty} == (
+            cls._field_defaults)
