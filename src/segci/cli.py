@@ -31,10 +31,6 @@ EXIT_DATA = 2
 REPORT_SCHEMA_VERSION = 2
 
 
-class UsageError(ValueError):
-    """Invalid argument values; maps to exit status 1."""
-
-
 def bundled_demo_corpus_path() -> Path:
     """Location of the packaged 77-paper synthetic demo corpus."""
     return Path(str(resources.files("segci.data").joinpath("demo_corpus.csv")))
@@ -152,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha / 2.0 < 0.5:  # below 1e-323, alpha / 2 rounds to 0
-        raise UsageError(f"--alpha must lie in [1e-323, 1), got {alpha}")
+        raise ValueError(f"--alpha must lie in [1e-323, 1), got {alpha}")
 
 
 def _cmd_fit(args) -> int:
@@ -192,11 +188,11 @@ def _cmd_ci(args) -> int:
 
     _check_alpha(args.alpha)
     if not 0.0 <= args.mean <= 1.0:
-        raise UsageError(f"--mean must lie in [0, 1], got {args.mean}")
+        raise ValueError(f"--mean must lie in [0, 1], got {args.mean}")
     if args.n < 2:
-        raise UsageError(f"--n must be >= 2, got {args.n}")
+        raise ValueError(f"--n must be >= 2, got {args.n}")
     if args.sd is not None and not 0.0 <= args.sd < math.inf:
-        raise UsageError(f"--sd must be finite and >= 0, got {args.sd}")
+        raise ValueError(f"--sd must be finite and >= 0, got {args.sd}")
 
     ci, sd_used, sd_source = reconstruct_ci(
         args.mean, args.n, args.sd, _load_model(args), args.alpha, args.clamp,
@@ -219,7 +215,7 @@ def _cmd_calibrate(args) -> int:
 
     _check_alpha(args.alpha)
     if args.min_n < 0:
-        raise UsageError(f"--min-n must be >= 0, got {args.min_n}")
+        raise ValueError(f"--min-n must be >= 0, got {args.min_n}")
     results = sio.read_calibration_csv(args.input)
     records, summary = cal.calibrate(results, _load_model(args), args.alpha, args.min_n)
     cal.write_calibration_csv(records, args.points)
@@ -284,7 +280,7 @@ def _cmd_simulate(args) -> int:
     from . import simulate as sim
 
     if args.tasks < 1 or args.methods < 1 or args.cases < 1:
-        raise UsageError("--tasks, --methods and --cases must all be >= 1")
+        raise ValueError("--tasks, --methods and --cases must all be >= 1")
     family = sim.parse_family(args.family)
     exclude = []
     if args.exclude:
@@ -293,7 +289,7 @@ def _cmd_simulate(args) -> int:
             try:
                 exclude.append((_INT(t), _INT(m)))
             except ValueError:
-                raise UsageError(f"bad --exclude entry {token!r}, expected task:method") from None
+                raise ValueError(f"bad --exclude entry {token!r}, expected task:method") from None
     spec = sim.SimSpec(
         n_tasks=args.tasks,
         methods_per_task=args.methods,
@@ -329,7 +325,7 @@ def main(argv: "list[str] | None" = None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, ArithmeticError) as exc:  # UsageError included
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -152,11 +152,11 @@ def bootstrap_ci(
     and summation order never change a bit.
 
     Non-finite values are refused, as are a seed that is not an integer
-    in [0, 2**64), a sample whose resample sums overflow the float
-    range, and an alpha so small that
-    (n_resamples + 1) * alpha / 2 < 1: its interval would be the smallest
-    and largest resample means whatever alpha is (Davison & Hinkley 1997,
-    section 5.2).
+    in [0, 2**64), an n_resamples that is not an integer of at least 100,
+    a sample whose resample sums overflow the float range, and an alpha
+    so small that (n_resamples + 1) * alpha / 2 < 1: its interval would be
+    the smallest and largest resample means whatever alpha is (Davison &
+    Hinkley 1997, section 5.2).
     """
     # numpy and the random streams load here, so the aggregate path
     # (parametric_ci and approximate_sd) runs without them.
@@ -165,9 +165,9 @@ def bootstrap_ci(
     from .descriptive import _quantile, _sorted_finite
 
     s = _sorted_finite(values, "bootstrap")
-    if n_resamples < MIN_BOOTSTRAP_RESAMPLES:
+    if not isinstance(n_resamples, Integral) or n_resamples < MIN_BOOTSTRAP_RESAMPLES:
         raise ValueError(
-            f"n_resamples must be >= {MIN_BOOTSTRAP_RESAMPLES}, got {n_resamples}"
+            f"n_resamples must be an integer >= {MIN_BOOTSTRAP_RESAMPLES}, got {n_resamples!r}"
         )
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")

@@ -13,6 +13,7 @@ All numeric fields use a dot decimal separator; floats are written with
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
@@ -70,59 +71,65 @@ def _input_error(exc: "UnicodeDecodeError | csv.Error", path, reader) -> DataFor
     return DataFormatError(f"byte {byte:#04x} is not UTF-8 ({exc.reason})", path, line)
 
 
-def _read_rows(path: "str | Path", expected_header: list[str]) -> Iterator:
-    """The ``csv.reader`` past the checked header, then the fields of each non-blank row.
+@contextlib.contextmanager
+def _rows(path: "str | Path", expected_header: list[str]) -> Iterator:
+    """The ``csv.reader`` past the checked header, and the fields of each non-blank row.
 
     Every row that is not blank must hold one field per header name, and a
-    file without data rows is refused. After each row the reader's
-    ``line_num`` is the physical line on which the row ends, counting the
-    line breaks inside quoted fields. A caller reads it when it needs it:
-    the per-case reader, the hot path, does so only for an error.
+    file without data rows is refused. A ``ValueError`` raised in the block
+    is a data error on the row being read, at the physical line where that
+    row ends: the reader's ``line_num``, counting line breaks inside quoted
+    fields. The per-case reader, the hot path, reads no ``line_num`` per row.
     """
     width = len(expected_header)
     found = False
+
+    def rows():
+        nonlocal found
+        for row in reader:
+            if len(row) != width or not row[0].strip():  # not an ordinary row
+                if not "".join(row).strip():
+                    continue
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, found {len(row)}")
+            found = True
+            yield row
+
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = _header(reader, path)
         if [h.strip() for h in header] != expected_header:
             raise DataFormatError(f"unexpected header {header!r}, expected {expected_header!r}",
                                   path, 1)
-        yield reader
         try:
-            for row in reader:
-                if len(row) != width or not row[0].strip():  # not an ordinary row
-                    if not "".join(row).strip():
-                        continue
-                    if len(row) != width:
-                        raise DataFormatError(f"expected {width} fields, found {len(row)}",
-                                              path, reader.line_num)
-                found = True
-                yield row
-        except (UnicodeDecodeError, csv.Error) as exc:
+            yield reader, rows()
+        except (UnicodeDecodeError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
             raise _input_error(exc, path, reader) from None
+        except ValueError as exc:
+            raise DataFormatError(str(exc), path, reader.line_num) from None
     if not found:
         raise DataFormatError("no data rows", path)
 
 
-def _parse_float(cell: str, name: str, path, line_no: int) -> float:
+def _parse_float(cell: str, name: str) -> float:
     try:
         if "_" in cell:
             raise ValueError  # float() reads "1_0" as 10
         value = float(cell)
     except ValueError:
-        raise DataFormatError(f"field {name!r} is not a number: {cell!r}", path, line_no) from None
+        raise ValueError(f"field {name!r} is not a number: {cell!r}") from None
     if not math.isfinite(value):
-        raise DataFormatError(f"field {name!r} must be finite, got {cell!r}", path, line_no)
+        raise ValueError(f"field {name!r} must be finite, got {cell!r}")
     return value
 
 
-def _parse_int(cell: str, name: str, path, line_no: int) -> int:
+def _parse_int(cell: str, name: str) -> int:
     try:
         if "_" in cell:
             raise ValueError  # int() reads "1_0" as 10
         return int(cell)
     except ValueError:
-        raise DataFormatError(f"field {name!r} is not an integer: {cell!r}", path, line_no) from None
+        raise ValueError(f"field {name!r} is not an integer: {cell!r}") from None
 
 
 def detect_training_format(path: "str | Path") -> str:
@@ -147,17 +154,15 @@ def iter_per_case_csv(path: "str | Path") -> Iterator[tuple[str, str, str, float
     Blank rows are skipped; any other row that is not four fields with a
     dsc in [0, 1] is refused, as is a file without data rows.
     """
-    rows = _read_rows(path, PER_CASE_HEADER)
-    reader = next(rows)
-    for task_id, method_id, case_id, cell in rows:
-        try:
-            dsc = float(cell)
-        except ValueError:
-            dsc = math.nan
-        if not 0.0 <= dsc <= 1.0 or "_" in cell:  # float() reads "1_0" as 10
-            dsc = _parse_float(cell, "dsc", path, reader.line_num)
-            raise DataFormatError(f"dsc must lie in [0, 1], got {dsc}", path, reader.line_num)
-        yield task_id.strip(), method_id.strip(), case_id.strip(), dsc
+    with _rows(path, PER_CASE_HEADER) as (_, rows):
+        for task_id, method_id, case_id, cell in rows:
+            try:
+                dsc = float(cell)
+            except ValueError:
+                dsc = math.nan
+            if not 0.0 <= dsc <= 1.0 or "_" in cell:  # float() reads "1_0" as 10
+                raise ValueError(f"dsc must lie in [0, 1], got {_parse_float(cell, 'dsc')}")
+            yield task_id.strip(), method_id.strip(), case_id.strip(), dsc
 
 
 class _Echo:
@@ -199,17 +204,16 @@ def write_per_case_csv(rows: Iterable[CaseResult], path: "str | Path") -> None:
 
 
 def read_pairs_csv(path: "str | Path") -> list[TrainingPair]:
-    rows = _read_rows(path, PAIRS_HEADER)
-    reader, out = next(rows), []
-    for mean_cell, sd_cell in rows:
-        line_no = reader.line_num
-        mean = _parse_float(mean_cell, "dsc_mean_pct", path, line_no)
-        sd = _parse_float(sd_cell, "sd_pct", path, line_no)
-        if not 0.0 <= mean <= 100.0:
-            raise DataFormatError(f"dsc_mean_pct must lie in [0, 100], got {mean}", path, line_no)
-        if sd <= 0.0:
-            raise DataFormatError(f"sd_pct must be > 0, got {sd}", path, line_no)
-        out.append(TrainingPair(dsc_mean_pct=mean, sd_pct=sd))
+    out = []
+    with _rows(path, PAIRS_HEADER) as (_, rows):
+        for mean_cell, sd_cell in rows:
+            mean = _parse_float(mean_cell, "dsc_mean_pct")
+            sd = _parse_float(sd_cell, "sd_pct")
+            if not 0.0 <= mean <= 100.0:
+                raise ValueError(f"dsc_mean_pct must lie in [0, 100], got {mean}")
+            if sd <= 0.0:
+                raise ValueError(f"sd_pct must be > 0, got {sd}")
+            out.append(TrainingPair(dsc_mean_pct=mean, sd_pct=sd))
     return out
 
 
@@ -222,60 +226,44 @@ def read_corpus_csv(path: "str | Path") -> list[PaperRecord]:
     # corpus loads intervals and special, which simulate and fit do not need
     from .corpus import MethodResult, PaperRecord
 
-    rows = _read_rows(path, CORPUS_HEADER)
-    methods: dict[str, list[MethodResult]] = {}
-    test_ns: dict[str, tuple[int, int]] = {}
-    lines: dict[tuple[str, str], int] = {}
-    reader = next(rows)
-    for paper_id, method_id, mean_cell, n_cell, sd_cell in rows:
-        line_no = reader.line_num
-        paper_id = paper_id.strip()
-        mean = _parse_float(mean_cell, "mean_dsc", path, line_no)
-        n = _parse_int(n_cell, "test_n", path, line_no)
-        sd = _parse_float(sd_cell, "sd", path, line_no) if sd_cell.strip() else None
-        try:
+    papers = {}  # paper_id -> (test_n, first line, {method_id: (line, method)})
+    with _rows(path, CORPUS_HEADER) as (reader, rows):
+        for paper_id, method_id, mean_cell, n_cell, sd_cell in rows:
+            mean = _parse_float(mean_cell, "mean_dsc")
+            n = _parse_int(n_cell, "test_n")
+            sd = _parse_float(sd_cell, "sd") if sd_cell.strip() else None
             method = MethodResult(method_id.strip(), mean, sd)
-        except ValueError as exc:
-            raise DataFormatError(str(exc), path, line_no) from None
-        if paper_id in test_ns and test_ns[paper_id][0] != n:
-            raise DataFormatError(
-                f"paper {paper_id!r} has conflicting test_n values "
-                f"({test_ns[paper_id][0]} on line {test_ns[paper_id][1]}, {n} here)",
-                path,
-                line_no,
-            )
-        first = lines.setdefault((paper_id, method.method_id), line_no)
-        if first != line_no:
-            raise DataFormatError(f"paper {paper_id!r} lists method {method.method_id!r} "
-                                  f"twice (on line {first} and here)", path, line_no)
-        test_ns.setdefault(paper_id, (n, line_no))
-        methods.setdefault(paper_id, []).append(method)
+            paper_id, line = paper_id.strip(), reader.line_num
+            test_n, first_line, methods = papers.setdefault(paper_id, (n, line, {}))
+            if n != test_n:
+                raise ValueError(f"paper {paper_id!r} has conflicting test_n values "
+                                 f"({test_n} on line {first_line}, {n} here)")
+            if method.method_id in methods:
+                raise ValueError(f"paper {paper_id!r} lists method {method.method_id!r} "
+                                 f"twice (on line {methods[method.method_id][0]} and here)")
+            methods[method.method_id] = (line, method)
 
-    papers = []
-    for paper_id, method_list in methods.items():
+    out = []
+    for paper_id, (test_n, first_line, methods) in papers.items():
         try:
-            papers.append(
-                PaperRecord(paper_id, test_ns[paper_id][0], tuple(method_list))
-            )
+            out.append(PaperRecord(paper_id, test_n, tuple(m for _, m in methods.values())))
         except ValueError as exc:
-            raise DataFormatError(str(exc), path, test_ns[paper_id][1]) from None
-    return papers
+            raise DataFormatError(str(exc), path, first_line) from None
+    return out
 
 
 def read_calibration_csv(path: "str | Path") -> list[tuple[str, str, int, float, float]]:
-    rows = _read_rows(path, CALIBRATION_HEADER)
     out = []
-    reader = next(rows)
-    for task_id, method_id, n_cell, mean_cell, sd_cell in rows:
-        line_no = reader.line_num
-        n = _parse_int(n_cell, "n", path, line_no)
-        mean = _parse_float(mean_cell, "mean_dsc", path, line_no)
-        sd = _parse_float(sd_cell, "observed_sd", path, line_no)
-        if n < 2:
-            raise DataFormatError(f"n must be >= 2, got {n}", path, line_no)
-        if not 0.0 <= mean <= 1.0:
-            raise DataFormatError(f"mean_dsc must lie in [0, 1], got {mean}", path, line_no)
-        if sd < 0.0:
-            raise DataFormatError(f"observed_sd must be >= 0, got {sd}", path, line_no)
-        out.append((task_id.strip(), method_id.strip(), n, mean, sd))
+    with _rows(path, CALIBRATION_HEADER) as (_, rows):
+        for task_id, method_id, n_cell, mean_cell, sd_cell in rows:
+            n = _parse_int(n_cell, "n")
+            mean = _parse_float(mean_cell, "mean_dsc")
+            sd = _parse_float(sd_cell, "observed_sd")
+            if n < 2:
+                raise ValueError(f"n must be >= 2, got {n}")
+            if not 0.0 <= mean <= 1.0:
+                raise ValueError(f"mean_dsc must lie in [0, 1], got {mean}")
+            if sd < 0.0:
+                raise ValueError(f"observed_sd must be >= 0, got {sd}")
+            out.append((task_id.strip(), method_id.strip(), n, mean, sd))
     return out

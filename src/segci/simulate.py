@@ -132,7 +132,11 @@ class SimSpec(NamedTuple):
         if min(counts) < 1:
             raise ValueError("all SimSpec counts must be >= 1")
         _check_seed(seed)
-        for t, m in exclude:
+        for pair in exclude:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(isinstance(i, Integral) for i in pair)):
+                raise ValueError(f"excluded pair {pair!r} is not a pair of integers")
+            t, m = pair
             if not (0 <= t < n_tasks and 0 <= m < methods_per_task):
                 raise ValueError(
                     f"excluded pair ({t}, {m}) lies outside tasks 0..{n_tasks - 1} "

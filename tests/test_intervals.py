@@ -290,6 +290,15 @@ class TestBootstrapCi:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bootstrap_ci([0.5, 0.6, 0.7], seed=seed)
 
+    @pytest.mark.parametrize("n_resamples, shown", [
+        (10000.0, "10000.0"), (150.5, "150.5"), ("200", "'200'"),
+    ], ids=["10000.0", "150.5", "str"])
+    def test_rejects_non_integer_resample_count(self, n_resamples, shown):
+        # 10000.0 failed with numpy's bare TypeError, and "200" with one from <
+        message = f"n_resamples must be an integer >= 100, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bootstrap_ci([0.1, 0.5, 0.9], n_resamples=n_resamples)
+
     def test_rejects_overflowing_resample_sums(self):
         with pytest.raises(ValueError, match="overflow"):
             bootstrap_ci([0.5, 1e308, 1e308, 0.7], seed=1)

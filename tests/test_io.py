@@ -181,6 +181,19 @@ def test_calibration_csv_validation(tmp_path):
         read_calibration_csv(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("t,m,1,0.9,0.1", "n must be >= 2, got 1"),
+    ("t,m,100,1.5,0.1", "mean_dsc must lie in [0, 1], got 1.5"),
+    ("t,m,100,-0.0001,0.1", "mean_dsc must lie in [0, 1], got -0.0001"),
+    ("t,m,100,0.9,-0.1", "observed_sd must be >= 0, got -0.1"),
+], ids=["n", "mean_above", "mean_below", "sd"])
+def test_calibration_csv_range_messages(tmp_path, row, message):
+    path = tmp_path / "cal.csv"
+    path.write_text("task_id,method_id,n,mean_dsc,observed_sd\nt,m,100,0.9,0.1\n\n" + row + "\n")
+    with pytest.raises(DataFormatError, match=f"^{re.escape(f'{path}: line 4: {message}')}$"):
+        read_calibration_csv(path)
+
+
 NON_FINITE = ["nan", "inf", "-inf", "1e400"]
 
 

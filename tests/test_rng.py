@@ -84,3 +84,52 @@ def test_known_draws_after_reset(method):
         f"numpy 2.4.6's, so the simulate byte pins and test_default_spec_golden_model "
         f"will move too"
     )
+
+
+_M64 = (1 << 64) - 1
+
+
+def philox4x64_10(counter, key, n):
+    """The first ``n`` words of numpy's Philox from ``counter`` and ``key``, in pure Python.
+
+    Philox4x64-10 of Salmon et al. 2011 (Random123); numpy increments the
+    256-bit counter, low word first, before each block of four words.
+    """
+    counter, words = list(counter), []
+    while len(words) < n:
+        for i in range(4):
+            counter[i] = (counter[i] + 1) & _M64
+            if counter[i]:
+                break
+        x, (k0, k1) = list(counter), key
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * x[0], 0xCA5A826395121157 * x[2]
+            x = [(p1 >> 64) ^ x[1] ^ k0, p1 & _M64, (p0 >> 64) ^ x[3] ^ k1, p0 & _M64]
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _M64, (k1 + 0xBB67AE8584CAA73B) & _M64
+        words += x
+    return words[:n]
+
+
+@pytest.mark.parametrize("counter, key", [
+    ((5, 7, 0, 0), (42, 3)),
+    ((0, 0, 0, 0), (0, 0)),
+    ((_M64, _M64, 0, 9), (1, 2)),  # the increment carries into the third word
+    ((_M64, _M64, _M64, _M64), (_M64, _M64)),  # and wraps to zero
+])
+def test_philox_words_match_reference(counter, key):
+    bitgen = np.random.Philox(counter=np.array(counter, dtype=np.uint64),
+                              key=np.array(key, dtype=np.uint64))
+    assert bitgen.random_raw(10).tolist() == philox4x64_10(counter, key, 10)
+
+
+# Path indices fill the counter's high words, last word first.
+COUNTERS = {(): (0, 0, 0, 0), (3,): (0, 0, 0, 3), (3, 4): (0, 0, 4, 3), (3, 4, 5): (0, 5, 4, 3)}
+
+
+@pytest.mark.parametrize("path", list(COUNTERS))
+def test_substream_words_match_reference(path):
+    expected = philox4x64_10(COUNTERS[path], (9, 2), 6)
+    assert substream(9, 2, *path).bit_generator.random_raw(6).tolist() == expected
+    streams = substreams(9, 2)
+    streams(7, 7).random(3)  # a reset leaves nothing of the last stream behind
+    assert streams(*path).bit_generator.random_raw(6).tolist() == expected

@@ -43,6 +43,11 @@ REFUSED = [
     # 42 + 2**64 gave the rows of seed 42
     (SimSpec, (10, 19, 50, FAMILY, 42 + 2**64),
      "seed must be an integer in [0, 2**64), got 18446744073709551658"),
+    # (0.0, 1.5) counted in len() as an excluded group, but matched no (task, method)
+    (SimSpec, (1, 2, 3, FAMILY, 42, ((0.0, 1.5),)),
+     "excluded pair (0.0, 1.5) is not a pair of integers"),
+    (SimSpec, (1, 2, 3, FAMILY, 42, ((1,),)), "excluded pair (1,) is not a pair of integers"),
+    (SimSpec, (1, 2, 3, FAMILY, 42, (1,)), "excluded pair 1 is not a pair of integers"),
 ]
 
 
