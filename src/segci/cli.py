@@ -17,9 +17,10 @@ from importlib import resources
 from pathlib import Path
 
 # Each handler imports the modules it needs, so a command loads only
-# its own layers: `segci ci`, `calibrate` and `analyze` run without
-# numpy, `simulate` and `fit` without the special functions, and `ci`
-# without the csv module and the file readers of segci.io.
+# its own layers: no command loads numpy (`simulate` draws from the
+# pure-Python Philox of segci.rng), `simulate` and `fit` run without the
+# special functions, and `ci` without the csv module and the file
+# readers of segci.io.
 from . import DataFormatError
 
 __all__ = ["main", "build_parser", "bundled_demo_corpus_path"]

@@ -13,7 +13,7 @@ operates on per-case values and serves as the non-parametric cross-check.
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
 from . import _check_seed
@@ -61,8 +61,17 @@ class CiComparison(NamedTuple):
     width_diff: float
 
 
+def _check_real(**values) -> None:
+    """Refuse a value that is not a real number, naming its argument."""
+    for name, value in values.items():
+        # the type test first: an isinstance test against an ABC is slow
+        if type(value) is not float and not isinstance(value, Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def approximate_sd(mean_dsc: float, model: "GlmFit | Sequence[float]") -> float:
     """Model SD (fraction scale) at a mean DSC in [0, 1]; the model works on the percent scale."""
+    _check_real(mean_dsc=mean_dsc)
     if not 0.0 <= mean_dsc <= 1.0:
         raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
     return predict_sd_pct(model, mean_dsc * 100.0) / 100.0
@@ -93,6 +102,7 @@ def parametric_ci(
     """
     if not isinstance(n, Integral) or n < 2:
         raise ValueError(f"n must be an integer >= 2 for n-1 degrees of freedom, got {n!r}")
+    _check_real(mean_dsc=mean_dsc, sd=sd, alpha=alpha)
     if not 0.0 <= mean_dsc <= 1.0:
         raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
     if not 0.0 <= sd < math.inf:
@@ -169,6 +179,7 @@ def bootstrap_ci(
         raise ValueError(
             f"n_resamples must be an integer >= {MIN_BOOTSTRAP_RESAMPLES}, got {n_resamples!r}"
         )
+    _check_real(alpha=alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     _check_seed(seed)

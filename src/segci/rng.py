@@ -5,22 +5,32 @@ Philox stream from a user seed, a fixed domain tag, and up to three path
 indices (for example task/method/case). Streams are identical in any
 evaluation order. numpy's policy (NEP 19) fixes the Philox words, but
 not what Generator's methods, such as standard_normal, make of them.
+
+The bootstrap draws through numpy (:func:`substream`, :func:`substreams`).
+The simulator reads the same words from a pure-Python Philox
+(:func:`word_streams`) and turns them into Gamma variates itself
+(:func:`gamma_sampler`), with a copy of numpy 2.4.6's ziggurat normal,
+so it loads no numpy and its draws do not change with the numpy release.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Callable
+from importlib import resources
+from typing import Callable, Iterator
 
-import numpy as np
-
-__all__ = ["substream", "substreams", "gamma_sampler"]
+__all__ = ["substream", "substreams", "word_streams", "gamma_sampler"]
 
 _U64_MASK = (1 << 64) - 1
 
 # Domain tags reserved by the package. Test fixtures may use further tags.
 DOMAIN_CASES = 1
 DOMAIN_BOOTSTRAP = 2
+
+# A word source: each call returns the stream's next 64-bit word, as
+# numpy's ``bit_generator.random_raw`` does.
+Words = Callable[[], int]
 
 
 def _counter_words(path: tuple[int, ...]) -> list[int]:
@@ -37,19 +47,21 @@ def _counter_words(path: tuple[int, ...]) -> list[int]:
     return words
 
 
-def substream(seed: int, domain: int, *path: int) -> np.random.Generator:
-    """Independent generator for (seed, domain, path).
+def substream(seed: int, domain: int, *path: int) -> "numpy.random.Generator":
+    """Independent numpy generator for (seed, domain, path).
 
     The seed and domain form the Philox key; up to three path indices
     are placed in the high words of the 256-bit counter, leaving 2^64
     draws of room per stream.
     """
+    import numpy as np
+
     key = np.array([seed & _U64_MASK, domain & _U64_MASK], dtype=np.uint64)
     counter = np.array(_counter_words(path), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def substreams(seed: int, domain: int) -> Callable[..., np.random.Generator]:
+def substreams(seed: int, domain: int) -> Callable[..., "numpy.random.Generator"]:
     """Reusable form of :func:`substream` for many paths of one (seed, domain).
 
     ``streams = substreams(seed, domain)`` owns a single generator; each
@@ -76,7 +88,7 @@ def substreams(seed: int, domain: int) -> Callable[..., np.random.Generator]:
         "uinteger": 0,
     }
 
-    def at(*path: int) -> np.random.Generator:
+    def at(*path: int) -> "numpy.random.Generator":
         inner["counter"] = _counter_words(path)
         bitgen.state = state
         return rng
@@ -84,29 +96,125 @@ def substreams(seed: int, domain: int) -> Callable[..., np.random.Generator]:
     return at
 
 
-def gamma_sampler(shape: float, rng: np.random.Generator) -> Callable[[], float]:
-    """Zero-argument sampler of Gamma(shape, 1) draws from ``rng``.
+def _philox(keys: tuple[tuple[int, int], ...], c0: int, c1: int, c2: int, c3: int
+            ) -> Iterator[int]:
+    """The words of Philox4x64-10 (Salmon et al. 2011) after counter (c0, c1, c2, c3).
 
-    Marsaglia-Tsang squeeze method; shapes below 1 are boosted to
-    shape+1 and corrected with a uniform power factor, whose uniform is
-    drawn first. The constants are computed once here and ``rng``'s
-    draw methods are bound, so each call costs only the loop. The
-    sampler reads whatever state ``rng`` holds at the call, which makes
-    it reusable across the resets of one :func:`substreams` generator.
+    ``keys`` holds the ten round keys. As numpy does, the counter is
+    incremented before each block of four words. Only the low word is
+    incremented: it starts at 0 on every reset, and no stream draws 2^64
+    blocks, so it never carries.
+    """
+    while True:
+        c0 += 1
+        x0, x1, x2, x3 = c0, c1, c2, c3
+        for k0, k1 in keys:
+            p0 = 0xD2E7470EE14C6C93 * x0
+            p1 = 0xCA5A826395121157 * x2
+            x0 = (p1 >> 64) ^ x1 ^ k0
+            x2 = (p0 >> 64) ^ x3 ^ k1
+            x1 = p1 & 0xFFFFFFFFFFFFFFFF
+            x3 = p0 & 0xFFFFFFFFFFFFFFFF
+        yield x0
+        yield x1
+        yield x2
+        yield x3
+
+
+def word_streams(seed: int, domain: int) -> Callable[..., Words]:
+    """Pure-Python word sources for many paths of one (seed, domain).
+
+    ``streams = word_streams(seed, domain)``; ``streams(*path)`` returns
+    a zero-argument function whose calls give the words that
+    ``substream(seed, domain, *path).bit_generator.random_raw()`` gives,
+    from the same key and the same counter layout.
+    """
+    k0, k1, keys = seed & _U64_MASK, domain & _U64_MASK, []
+    for _ in range(10):
+        keys.append((k0, k1))
+        k0 = (k0 + 0x9E3779B97F4A7C15) & _U64_MASK
+        k1 = (k1 + 0xBB67AE8584CAA73B) & _U64_MASK
+    keys = tuple(keys)
+
+    def at(*path: int) -> Words:
+        return _philox(keys, *_counter_words(path)).__next__
+
+    return at
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]:
+    """numpy 2.4.6's ``ki_double``, ``wi_double`` and ``fi_double``, read on first use."""
+    text = resources.files("segci.data").joinpath("ziggurat_normal.txt").read_text("ascii")
+    rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+    return (tuple(int(k, 16) for k, _, _ in rows),
+            tuple(float.fromhex(w) for _, w, _ in rows),
+            tuple(float.fromhex(f) for _, _, f in rows))
+
+
+_R = 3.6541528853610088  # where the tail begins
+_INV_R = 0.27366123732975828
+_TO_UNIT = 2.0**-53  # a word's top 53 bits to [0, 1), as numpy's random()
+
+
+def _ziggurat_normal() -> Callable[[Words], float]:
+    """numpy 2.4.6's ``standard_normal``, bit for bit, as a function of a word source.
+
+    The ziggurat of Marsaglia & Tsang (2000) as numpy runs it: the low 8
+    bits of a word pick the layer, the next bit the sign and the next 52
+    the magnitude. A draw outside the layer's box falls to the wedge test
+    (one uniform) or, in layer 0, to Marsaglia's tail (two uniforms each try).
+    """
+    ki, wi, fi = _ziggurat_tables()
+    log1p, exp = math.log1p, math.exp
+
+    def normal(word: Words) -> float:
+        while True:
+            r = word()
+            idx = r & 0xFF
+            rabs = (r >> 9) & 0x000FFFFFFFFFFFFF
+            x = rabs * wi[idx]
+            if r & 0x100:
+                x = -x
+            if rabs < ki[idx]:
+                return x
+            if idx == 0:
+                while True:
+                    xx = -_INV_R * log1p(-(word() >> 11) * _TO_UNIT)
+                    yy = -log1p(-(word() >> 11) * _TO_UNIT)
+                    if yy + yy > xx * xx:
+                        return -(_R + xx) if (rabs >> 8) & 1 else _R + xx
+            elif ((fi[idx - 1] - fi[idx]) * ((word() >> 11) * _TO_UNIT) + fi[idx]
+                  < exp(-0.5 * x * x)):
+                return x
+
+    return normal
+
+
+def gamma_sampler(shape: float) -> Callable[[Words], float]:
+    """Sampler of Gamma(shape, 1) draws: ``gamma_sampler(shape)(word)``.
+
+    Marsaglia-Tsang squeeze method on the word source ``word``; shapes
+    below 1 are boosted to shape+1 and corrected with a uniform power
+    factor, whose uniform is drawn first. Normals come from
+    :func:`_ziggurat_normal` and uniforms from a word's top 53 bits, so on
+    ``rng.bit_generator.random_raw`` the draws and the words they use
+    are those of numpy's ``standard_normal`` and ``random``. The
+    constants are computed once here, so each call costs only the loop.
     """
     if not 0.0 < shape < math.inf:
         raise ValueError(f"gamma shape must be positive and finite, got {shape}")
-    normal, uniform, log = rng.standard_normal, rng.random, math.log
+    normal, log = _ziggurat_normal(), math.log
     d = (shape if shape >= 1.0 else shape + 1.0) - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
 
-    def draw() -> float:
+    def draw(word: Words) -> float:
         while True:
-            x = normal()
+            x = normal(word)
             v = (1.0 + c * x) ** 3
             if v <= 0.0:
                 continue
-            u = uniform()
+            u = (word() >> 11) * _TO_UNIT
             if log(u) < 0.5 * x * x + d - d * v + d * log(v):
                 return d * v
 
@@ -114,9 +222,8 @@ def gamma_sampler(shape: float, rng: np.random.Generator) -> Callable[[], float]
         return draw
     exponent = 1.0 / shape
 
-    def boosted() -> float:
-        u = uniform()
-        return draw() * u**exponent
+    def boosted(word: Words) -> float:
+        u = (word() >> 11) * _TO_UNIT
+        return draw(word) * u**exponent
 
     return boosted
-

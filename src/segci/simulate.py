@@ -19,8 +19,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 from . import _check_seed, _checked, _mean_sd
 from .glm import TrainingPair
 
-# numpy loads with segci.rng, inside the functions that draw: `segci fit`
-# aggregates per-case files without it.
+# segci.rng loads inside the functions that draw: `segci fit` aggregates
+# per-case files without it. numpy is only a type here: sample_beta reads
+# the words of a numpy generator.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -39,8 +40,19 @@ __all__ = [
 
 
 def sample_beta(a: float, b: float, rng: np.random.Generator) -> float:
-    """One Beta(a, b) draw as the ratio X / (X + Y) of two Gamma variates."""
-    return BetaFamily(a, b).sampler(rng)()
+    """One Beta(a, b) draw from ``rng``, as the ratio X / (X + Y) of two Gamma variates.
+
+    The draw reads ``rng``'s raw 64-bit words, as :class:`SimulatedRows`
+    reads its own, and uses them as numpy's ``standard_normal`` and
+    ``random`` would. A generator on MT19937, whose raw words are 32-bit,
+    is refused.
+    """
+    from numpy.random import MT19937  # loaded already, as rng is a numpy generator
+
+    if isinstance(rng.bit_generator, MT19937):
+        raise ValueError("sample_beta reads 64-bit raw words, and MT19937's are 32-bit; "
+                         "use a Philox, PCG64 or SFC64 generator")
+    return BetaFamily(a, b).sampler()(rng.bit_generator.random_raw)
 
 
 @_checked
@@ -55,15 +67,15 @@ class BetaFamily(NamedTuple):
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise ValueError(f"beta parameters must be positive and finite, got ({a}, {b})")
 
-    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
-        """Zero-argument draw from ``rng``'s current state; see :func:`gamma_sampler`."""
+    def sampler(self) -> Callable[[Callable[[], int]], float]:
+        """A draw from a word source, ``sampler()(word)``; see :func:`~segci.rng.gamma_sampler`."""
         from .rng import gamma_sampler
 
-        gamma_a = gamma_sampler(self.a, rng)
-        gamma_b = gamma_sampler(self.b, rng)
+        gamma_a = gamma_sampler(self.a)
+        gamma_b = gamma_sampler(self.b)
 
-        def draw() -> float:
-            x, y = gamma_a(), gamma_b()
+        def draw(word: Callable[[], int]) -> float:
+            x, y = gamma_a(word), gamma_b(word)
             try:
                 return x / (x + y)
             except ZeroDivisionError:
@@ -85,8 +97,8 @@ class ConstantFamily(NamedTuple):
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"constant DSC must lie in [0, 1], got {self.value}")
 
-    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
-        return lambda: self.value
+    def sampler(self) -> Callable[[Callable[[], int]], float]:
+        return lambda word: self.value
 
 
 def parse_family(text: str) -> "BetaFamily | ConstantFamily":
@@ -170,18 +182,17 @@ class SimulatedRows:
         return groups * spec.cases_per_task
 
     def __iter__(self) -> Iterator[CaseResult]:
-        """Case c of method m on task t draws ``spec.family.sampler(streams(t, m, c))()``.
+        """Case c of method m on task t draws ``spec.family.sampler()(streams(t, m, c))``.
 
-        The draws come from one :func:`~segci.rng.substreams` generator; the
-        family's sampler is built once, since every reset returns that same
-        generator.
+        ``streams`` is :func:`~segci.rng.word_streams` of (seed,
+        ``DOMAIN_CASES``); the family's sampler is built once.
         """
-        from .rng import DOMAIN_CASES, substreams
+        from .rng import DOMAIN_CASES, word_streams
 
         spec = self.spec
         excluded = set(spec.exclude)
-        streams = substreams(spec.seed, DOMAIN_CASES)
-        draw = spec.family.sampler(streams())
+        streams = word_streams(spec.seed, DOMAIN_CASES)
+        draw = spec.family.sampler()
         new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
         for t in range(spec.n_tasks):
             task_id = f"task{t + 1:02d}"
@@ -190,8 +201,8 @@ class SimulatedRows:
                     continue
                 method_id = f"method{m + 1:02d}"
                 for c in range(spec.cases_per_task):
-                    streams(t, m, c)
-                    yield new_row(CaseResult, (task_id, method_id, f"case{c + 1:05d}", draw()))
+                    dsc = draw(streams(t, m, c))
+                    yield new_row(CaseResult, (task_id, method_id, f"case{c + 1:05d}", dsc))
 
 
 def generate_results(spec: SimSpec) -> list[CaseResult]:

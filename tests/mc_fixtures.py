@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from segci.rng import gamma_sampler, substream
+from segci.rng import gamma_sampler, substream, word_streams
 
 # Generating coefficients and noise shape of the Monte-Carlo fit fixture.
 MC_TRUE = (2.0, 0.07, -0.0008)
@@ -30,12 +30,8 @@ def mc_dataset(seed: int) -> tuple[np.ndarray, np.ndarray]:
     x = rng.uniform(30.0, 95.0, size=MC_N_PAIRS)
     b0, b1, b2 = MC_TRUE
     mu = np.exp(b0 + b1 * x + b2 * x * x)
-    y = np.array(
-        [
-            gamma_sampler(MC_SHAPE, substream(seed, _DOMAIN_MC_Y, i))() * mu[i] / MC_SHAPE
-            for i in range(MC_N_PAIRS)
-        ]
-    )
+    gamma, words = gamma_sampler(MC_SHAPE), word_streams(seed, _DOMAIN_MC_Y)
+    y = np.array([gamma(words(i)) * mu[i] / MC_SHAPE for i in range(MC_N_PAIRS)])
     return x, y
 
 

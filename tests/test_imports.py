@@ -1,11 +1,11 @@
 """Import hygiene: each command loads only its own layers.
 
-``import segci``, ``segci ci``, ``calibrate``, ``analyze`` and ``fit``
-never load numpy; ``simulate`` and ``fit`` never load the special
+``import segci`` and every command run without numpy, which only
+``bootstrap_ci`` loads; ``simulate`` and ``fit`` never load the special
 functions, the interval and corpus layers or the descriptive statistics.
-The commands that run without numpy (which loads ``inspect`` itself)
-load neither ``dataclasses`` nor ``inspect``, and ``segci ci`` reads no
-CSV, so it loads neither ``csv`` nor ``segci.io``.
+No command loads ``dataclasses`` or ``inspect`` (numpy loads the
+latter), and ``segci ci`` reads no CSV, so it loads neither ``csv`` nor
+``segci.io``.
 """
 
 import importlib
@@ -127,6 +127,14 @@ def test_simulate_and_fit_skip_aggregate_layers(tmp_path):
         loaded = loaded_after(argv, tmp_path)
         for module in ("special", "intervals", "corpus", "descriptive"):
             assert f"segci.{module}" not in loaded, (argv[0], module)
+
+
+def test_simulate_skips_numpy(tmp_path):
+    # the simulator draws from segci's own Philox words and ziggurat
+    argv = ["simulate", "--output", "cases.csv", "--tasks", "2", "--methods", "3", "--cases", "4"]
+    loaded = loaded_after(argv, tmp_path)
+    assert "segci.rng" in loaded
+    assert not loaded & {"numpy", *INTROSPECTION}, sorted(loaded & {"numpy", *INTROSPECTION})
 
 
 def test_fit_skips_numpy(tmp_path):

@@ -44,6 +44,14 @@ class TestApproximateSd:
             approximate_sd(mean, paper_model())
         assert str(info.value) == f"mean_dsc must lie in [0, 1], got {mean}"
 
+    def test_non_number_mean_refused(self):
+        # ended in a bare TypeError from <=, also through reconstruct_ci
+        message = "mean_dsc must be a real number, got '0.9'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            approximate_sd("0.9", paper_model())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reconstruct_ci("0.9", 10, None, paper_model())
+
     # A published aggregate (mean, n, reported SD) that reconstruct_ci refuses.
     def test_report_validation(self):
         with pytest.raises(ValueError):
@@ -184,6 +192,16 @@ class TestParametricCi:
         with pytest.raises(ValueError):
             parametric_ci(mean, sd, 10, alpha=alpha)
 
+    @pytest.mark.parametrize("mean,sd,alpha,shown", [
+        ("0.9", 0.1, 0.05, "mean_dsc must be a real number, got '0.9'"),
+        (0.9, None, 0.05, "sd must be a real number, got None"),
+        (0.9, 0.1, "0.05", "alpha must be a real number, got '0.05'"),
+    ], ids=["mean_dsc", "sd", "alpha"])
+    def test_rejects_non_number(self, mean, sd, alpha, shown):
+        # each ended in a bare TypeError from a comparison or a division
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+            parametric_ci(mean, sd, 10, alpha=alpha)
+
 
 class TestBootstrapCi:
     def test_constant_sample(self):
@@ -298,6 +316,11 @@ class TestBootstrapCi:
         message = f"n_resamples must be an integer >= 100, got {shown}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             bootstrap_ci([0.1, 0.5, 0.9], n_resamples=n_resamples)
+
+    def test_rejects_non_number_alpha(self):
+        # it ended in a bare TypeError from <
+        with pytest.raises(ValueError, match=r"^alpha must be a real number, got '0\.05'$"):
+            bootstrap_ci([0.1, 0.5, 0.9], alpha="0.05")
 
     def test_rejects_overflowing_resample_sums(self):
         with pytest.raises(ValueError, match="overflow"):

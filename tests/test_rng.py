@@ -1,7 +1,12 @@
+import hashlib
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from segci.rng import DOMAIN_CASES, substream, substreams
+from segci.rng import (
+    DOMAIN_CASES, _ziggurat_normal, _ziggurat_tables, substream, substreams, word_streams,
+)
 
 PATHS = [(), (4,), (4, 7), (4, 7, 11), (-1,), (2**64 + 3, 5)]
 DOMAINS = (1, 9)
@@ -59,12 +64,15 @@ class TestSubstreams:
             substream(1, 1, 0, 1, 2, 3)
         with pytest.raises(ValueError):
             substreams(1, 1)(0, 1, 2, 3)
+        with pytest.raises(ValueError):
+            word_streams(1, 1)(0, 1, 2, 3)
 
 
 # Known answers for the first draws after a reset to (seed 42, DOMAIN_CASES,
 # path (0, 0, 0)), the stream of the simulator's first case. NEP 19 fixes
 # the Philox words; Generator's distribution methods may change between
-# numpy releases, and every simulate pin rests on standard_normal and random.
+# numpy releases. The simulator draws with segci's own copy of numpy
+# 2.4.6's standard_normal and random, which the tests compare with numpy's.
 KNOWN_DRAWS = {
     "random_raw": ["0x719965f2debb5c86", "0xd0ff12852bfefaa0", "0x824f8a46917b59d3"],
     "standard_normal": ["0x1.bbd95443f9907p-1", "0x1.df0231616e722p-1", "-0x1.48d06206ea870p-3"],
@@ -81,9 +89,20 @@ def test_known_draws_after_reset(method):
         got = [getattr(rng, method)().hex() for _ in range(3)]
     assert got == KNOWN_DRAWS[method], (
         f"numpy {np.__version__}: the first {method} draws of a reset stream differ from "
-        f"numpy 2.4.6's, so the simulate byte pins and test_default_spec_golden_model "
-        f"will move too"
+        f"numpy 2.4.6's. The simulate byte pins do not move, as the simulator draws "
+        f"without numpy, but the tests that check its draws against numpy's will fail"
     )
+
+
+def test_own_draws_match_known_answers():
+    # segci's Philox words, normal and uniform, whatever numpy is installed
+    streams = word_streams(42, DOMAIN_CASES)
+    word = streams(0, 0, 0)
+    assert [hex(word()) for _ in range(3)] == KNOWN_DRAWS["random_raw"]
+    normal, word = _ziggurat_normal(), streams(0, 0, 0)
+    assert [normal(word).hex() for _ in range(3)] == KNOWN_DRAWS["standard_normal"]
+    word = streams(0, 0, 0)
+    assert [((word() >> 11) * 2**-53).hex() for _ in range(3)] == KNOWN_DRAWS["random"]
 
 
 _M64 = (1 << 64) - 1
@@ -133,3 +152,40 @@ def test_substream_words_match_reference(path):
     streams = substreams(9, 2)
     streams(7, 7).random(3)  # a reset leaves nothing of the last stream behind
     assert streams(*path).bit_generator.random_raw(6).tolist() == expected
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("path", PATHS)
+def test_word_streams_match_substream(domain, path):
+    streams = word_streams(31, domain)
+    streams(7, 7)()  # a source of another path leaves nothing behind
+    word = streams(*path)
+    assert [word() for _ in range(10)] == substream(31, domain, *path).bit_generator.random_raw(
+        10).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+def test_normal_matches_numpy(seed):
+    # 262,144 draws on numpy's words: about 3,800 reach the wedge test and 70 the tail
+    n = 1 << 18
+    raw = substream(seed, 6, 3, 1).bit_generator.random_raw(n + n // 8).tolist()
+    words, normal = iter(raw), _ziggurat_normal()
+    firsts, got = [], []
+    for _ in range(n):
+        firsts.append(raw[len(raw) - words.__length_hint__()])
+        got.append(normal(words.__next__))
+    assert got == substream(seed, 6, 3, 1).standard_normal(n).tolist()
+    # a draw's first word outside the box of its layer leads to the tail
+    # in layer 0 and to the wedge test in any other layer
+    ki = _ziggurat_tables()[0]
+    left_box = [r for r in firsts if (r >> 9) & (2**52 - 1) >= ki[r & 0xFF]]
+    assert any(r & 0xFF == 0 for r in left_box), "no draw ran the tail"
+    assert any(r & 0xFF != 0 for r in left_box), "no draw ran the wedge test"
+
+
+def test_ziggurat_table_file_pinned():
+    # numpy 2.4.6's ki_double, wi_double and fi_double, under numpy's license
+    data = resources.files("segci.data").joinpath("ziggurat_normal.txt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "d4c915f7f69a6a61dab1fbd57a50f2bb51150dce40a62aa27aefc6c00c9f3027"
+    )

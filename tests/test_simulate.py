@@ -21,7 +21,7 @@ from segci import (
 )
 from segci.cli import bundled_demo_corpus_path
 from segci.io import read_corpus_csv
-from segci.rng import DOMAIN_CASES, gamma_sampler, substream, substreams
+from segci.rng import DOMAIN_CASES, gamma_sampler, substream, substreams, word_streams
 from test_imports import run_fresh
 
 
@@ -42,15 +42,23 @@ def reference_gamma(shape, rng):
             return d * v
 
 
+def reference_beta(family, rng):
+    """A Beta draw from numpy's own standard_normal and random, through reference_gamma."""
+    if isinstance(family, ConstantFamily):
+        return family.value
+    x = reference_gamma(family.a, rng)
+    return x / (x + reference_gamma(family.b, rng))
+
+
 def reference_results(spec):
-    """generate_results as a plain loop: one family sampler and one set of ids per case."""
+    """generate_results as a plain loop over numpy generators, one set of ids per case."""
     streams = substreams(spec.seed, DOMAIN_CASES)
     return [
         CaseResult(
             task_id=f"task{t + 1:02d}",
             method_id=f"method{m + 1:02d}",
             case_id=f"case{c + 1:05d}",
-            dsc=spec.family.sampler(streams(t, m, c))(),
+            dsc=reference_beta(spec.family, streams(t, m, c)),
         )
         for t in range(spec.n_tasks)
         for m in range(spec.methods_per_task)
@@ -103,7 +111,20 @@ class TestSampleBeta:
         with pytest.raises(ValueError):
             sample_beta(0.0, 1.0, rng)
         with pytest.raises(ValueError):
-            gamma_sampler(-2.0, rng)()
+            gamma_sampler(-2.0)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64, np.random.Philox])
+    def test_draws_are_numpy_draws(self, bit_generator):
+        # the draws on a generator's raw words are those of its standard_normal and random
+        family = BetaFamily(0.7, 3.0)
+        rng, reference = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
+        for _ in range(200):
+            assert sample_beta(*family, rng).hex() == reference_beta(family, reference).hex()
+
+    def test_32_bit_words_refused(self):
+        # MT19937's 32-bit raw words would read as tiny normals and uniforms
+        with pytest.raises(ValueError, match="MT19937's are 32-bit"):
+            sample_beta(2.0, 3.0, np.random.Generator(np.random.MT19937(1)))
 
     def test_underflow_is_arithmetic_error(self):
         # at a = b = 0.005 both Gamma variates of stream 327 round to 0
@@ -126,39 +147,35 @@ class TestSampleBeta:
         assert np.mean(draws) == pytest.approx(expected, abs=0.01)
 
 
-def draw_at(streams, i, draw):
-    streams(i)
-    return draw()
-
-
 class TestGammaSampler:
     @pytest.mark.parametrize("shape", [0.05, 0.3, 0.5, 0.999, 1.0, 1.5, 2.5, 8.0, 40.0])
     def test_matches_reference_sampler(self, shape):
-        streams = substreams(31, 5)
-        draw = gamma_sampler(shape, streams())
+        streams, words = substreams(31, 5), word_streams(31, 5)
+        draw = gamma_sampler(shape)
         for i in range(300):
             want = reference_gamma(shape, streams(i))
-            # one sampler reused across resets, and a fresh one per stream
-            assert draw_at(streams, i, draw).hex() == want.hex()
-            assert gamma_sampler(shape, streams(i))().hex() == want.hex()
+            # one sampler reused across streams, and a fresh one per stream;
+            # segci's words, and numpy's words of the same stream
+            assert draw(words(i)).hex() == want.hex()
+            assert gamma_sampler(shape)(words(i)).hex() == want.hex()
+            assert draw(streams(i).bit_generator.random_raw).hex() == want.hex()
 
     @pytest.mark.parametrize("shape", [0.3, 2.5])
     def test_consumes_the_reference_draws(self, shape):
-        # the next draw after a sample shows that both took the same count
-        streams = substreams(32, 5)
-        draw = gamma_sampler(shape, streams())
+        # the next word after a sample shows that both took the same count
+        streams, words = substreams(32, 5), word_streams(32, 5)
+        draw = gamma_sampler(shape)
         for i in range(100):
-            rng = streams(i)
-            draw()
-            got = rng.random()
+            word = words(i)
+            draw(word)
             rng = streams(i)
             reference_gamma(shape, rng)
-            assert got == rng.random()
+            assert word() == rng.bit_generator.random_raw()
 
     @pytest.mark.parametrize("shape", [0.0, -1.0, math.inf, math.nan])
     def test_invalid_shape(self, shape):
         with pytest.raises(ValueError):
-            gamma_sampler(shape, substream(1, 5, 0))
+            gamma_sampler(shape)
 
 
 class TestGenerateResults:
@@ -345,7 +362,7 @@ class TestParseFamily:
 
 
 @pytest.mark.parametrize("call", [
-    "gamma_sampler(math.inf, substream(1, 5, 0))()",
+    "gamma_sampler(math.inf)",
     "sample_beta(math.inf, 2.0, substream(1, 5, 0))",
     "sample_beta(2.0, math.inf, substream(1, 5, 0))",
 ], ids=["gamma", "beta_a", "beta_b"])
