@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from importlib import resources
@@ -19,8 +18,8 @@ from pathlib import Path
 # Each handler imports the modules it needs, so a command loads only
 # its own layers: no command loads numpy (`simulate` draws from the
 # pure-Python Philox of segci.rng), `simulate` and `fit` run without the
-# special functions, and `ci` without the csv module and the file
-# readers of segci.io.
+# special functions, `simulate` also without segci.glm and json, and
+# `ci` without the csv module and the file readers of segci.io.
 from . import DataFormatError
 
 __all__ = ["main", "build_parser", "bundled_demo_corpus_path"]
@@ -48,6 +47,8 @@ def _round6(value):
 
 
 def _dump_json(doc: dict, path: "str | Path | None") -> str:
+    import json  # here, so that `segci simulate` does not load it
+
     text = json.dumps(_round6(doc), indent=2, allow_nan=False) + "\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import DataFormatError
-from .glm import TrainingPair
 
 if TYPE_CHECKING:
     from .corpus import PaperRecord
@@ -204,6 +203,8 @@ def write_per_case_csv(rows: Iterable[CaseResult], path: "str | Path") -> None:
 
 
 def read_pairs_csv(path: "str | Path") -> list[TrainingPair]:
+    from .glm import TrainingPair  # here, so that `segci simulate` does not load glm
+
     out = []
     with _rows(path, PAIRS_HEADER) as (_, rows):
         for mean_cell, sd_cell in rows:

@@ -11,12 +11,16 @@ The simulator reads the same words from a pure-Python Philox
 (:func:`word_streams`) and turns them into Gamma variates itself
 (:func:`gamma_sampler`), with a copy of numpy 2.4.6's ziggurat normal,
 so it loads no numpy and its draws do not change with the numpy release.
+It computes the first blocks of up to 256 cases of a group together
+(``_first_blocks``), which give the same words as each case's own stream.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
+from array import array
 from importlib import resources
 from typing import Callable, Iterator
 
@@ -121,6 +125,16 @@ def _philox(keys: tuple[tuple[int, int], ...], c0: int, c1: int, c2: int, c3: in
         yield x3
 
 
+def _round_keys(seed: int, domain: int) -> tuple[tuple[int, int], ...]:
+    """The ten Philox4x64-10 round keys of the key (seed, domain), bumped as numpy bumps them."""
+    k0, k1, keys = seed & _U64_MASK, domain & _U64_MASK, []
+    for _ in range(10):
+        keys.append((k0, k1))
+        k0 = (k0 + 0x9E3779B97F4A7C15) & _U64_MASK
+        k1 = (k1 + 0xBB67AE8584CAA73B) & _U64_MASK
+    return tuple(keys)
+
+
 def word_streams(seed: int, domain: int) -> Callable[..., Words]:
     """Pure-Python word sources for many paths of one (seed, domain).
 
@@ -129,17 +143,54 @@ def word_streams(seed: int, domain: int) -> Callable[..., Words]:
     ``substream(seed, domain, *path).bit_generator.random_raw()`` gives,
     from the same key and the same counter layout.
     """
-    k0, k1, keys = seed & _U64_MASK, domain & _U64_MASK, []
-    for _ in range(10):
-        keys.append((k0, k1))
-        k0 = (k0 + 0x9E3779B97F4A7C15) & _U64_MASK
-        k1 = (k1 + 0xBB67AE8584CAA73B) & _U64_MASK
-    keys = tuple(keys)
+    keys = _round_keys(seed, domain)
 
     def at(*path: int) -> Words:
         return _philox(keys, *_counter_words(path)).__next__
 
     return at
+
+
+@functools.lru_cache(maxsize=4)
+def _lanes(keys: tuple[tuple[int, int], ...], n: int) -> tuple[int, int, int, tuple]:
+    """Constants of n packed 128-bit lanes, lane i at bits [128 i, 128 i + 128).
+
+    A 1 in each lane; each lane's low 64 bits set; i in lane i; and each
+    round key repeated in every lane.
+    """
+    one = ((1 << 128 * n) - 1) // ((1 << 128) - 1)
+    index = sum(i << 128 * i for i in range(n))
+    return one, one * _U64_MASK, index, tuple((k0 * one, k1 * one) for k0, k1 in keys)
+
+
+# Lane i's low word in array("Q", lanes.to_bytes(16 * n, sys.byteorder)):
+# word 2 i on a little-endian machine, word 2 (n - 1 - i) + 1 on a big-endian one.
+_LOW_WORDS = slice(0, None, 2) if sys.byteorder == "little" else slice(-1, None, -2)
+
+
+def _first_blocks(keys: tuple[tuple[int, int], ...], t: int, m: int, c: int, n: int
+                  ) -> list[tuple[int, int, int, int]]:
+    """The first Philox block of each of the n paths (t, m, c), ..., (t, m, c + n - 1).
+
+    Block i holds the first four words of ``word_streams(seed, domain)(t, m, c + i)``
+    (its case index taken mod 2^64), where ``keys`` is ``_round_keys(seed, domain)``.
+    All n blocks are computed in one pass of big-int arithmetic: the
+    n values of each Philox word share an int, one in each 128-bit lane,
+    so a product with a 64-bit multiplier fills its lane and does not
+    reach the next one.
+    """
+    one, low, index, lane_keys = _lanes(keys, n)
+    x0, x1 = one, ((c & _U64_MASK) * one + index) & low
+    x2, x3 = (m & _U64_MASK) * one, (t & _U64_MASK) * one
+    for k0, k1 in lane_keys:
+        p0 = 0xD2E7470EE14C6C93 * x0
+        p1 = 0xCA5A826395121157 * x2
+        x0 = (p1 >> 64) & low ^ x1 ^ k0
+        x2 = (p0 >> 64) & low ^ x3 ^ k1
+        x1 = p1 & low
+        x3 = p0 & low
+    nbytes, order = 16 * n, sys.byteorder
+    return list(zip(*(array("Q", x.to_bytes(nbytes, order))[_LOW_WORDS] for x in (x0, x1, x2, x3))))
 
 
 @functools.cache

@@ -14,14 +14,15 @@ import math
 from array import array
 from collections import defaultdict
 from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from . import _check_seed, _checked, _mean_sd
-from .glm import TrainingPair
 
-# segci.rng loads inside the functions that draw: `segci fit` aggregates
-# per-case files without it. numpy is only a type here: sample_beta reads
-# the words of a numpy generator.
+# segci.rng loads inside the functions that draw, so `segci fit` aggregates
+# per-case files without it, and segci.glm inside make_training_pairs, so
+# `segci simulate` runs without it. numpy is only a type here: sample_beta
+# reads the words of a numpy generator.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -76,8 +77,11 @@ class BetaFamily(NamedTuple):
 
         def draw(word: Callable[[], int]) -> float:
             x, y = gamma_a(word), gamma_b(word)
+            total = x + y
+            if total == math.inf:  # x / inf would read 0: take the ratio of the halves
+                x, total = 0.5 * x, 0.5 * x + 0.5 * y
             try:
-                return x / (x + y)
+                return x / total
             except ZeroDivisionError:
                 raise ArithmeticError(
                     f"beta:{self.a!r},{self.b!r} cannot be drawn: both Gamma variates "
@@ -163,12 +167,16 @@ class CaseResult(NamedTuple):
     dsc: float
 
 
+# The cases of a group whose first Philox blocks are computed in one pass.
+_BATCH = 256
+
+
 class SimulatedRows:
     """The rows of :func:`generate_results`, each drawn as it is iterated.
 
     ``len()`` counts them without drawing, so a writer such as
     :func:`~segci.io.write_per_case_csv` can stream a simulation of any
-    size while holding one row at a time.
+    size while holding one batch of cases at a time.
     """
 
     __slots__ = ("spec",)
@@ -185,14 +193,18 @@ class SimulatedRows:
         """Case c of method m on task t draws ``spec.family.sampler()(streams(t, m, c))``.
 
         ``streams`` is :func:`~segci.rng.word_streams` of (seed,
-        ``DOMAIN_CASES``); the family's sampler is built once.
+        ``DOMAIN_CASES``); the family's sampler is built once. The first
+        blocks of up to 256 cases of a group are computed together, and
+        give the same words; a draw that reads past its case's first
+        block is drawn again from the whole stream.
         """
-        from .rng import DOMAIN_CASES, word_streams
+        from .rng import DOMAIN_CASES, _first_blocks, _philox, _round_keys
 
         spec = self.spec
         excluded = set(spec.exclude)
-        streams = word_streams(spec.seed, DOMAIN_CASES)
+        keys = _round_keys(spec.seed, DOMAIN_CASES)
         draw = spec.family.sampler()
+        n_cases = spec.cases_per_task
         new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
         for t in range(spec.n_tasks):
             task_id = f"task{t + 1:02d}"
@@ -200,9 +212,14 @@ class SimulatedRows:
                 if (t, m) in excluded:
                     continue
                 method_id = f"method{m + 1:02d}"
-                for c in range(spec.cases_per_task):
-                    dsc = draw(streams(t, m, c))
-                    yield new_row(CaseResult, (task_id, method_id, f"case{c + 1:05d}", dsc))
+                for start in range(0, n_cases, _BATCH):
+                    blocks = _first_blocks(keys, t, m, start, min(_BATCH, n_cases - start))
+                    for c, block in enumerate(blocks, start):
+                        try:
+                            dsc = draw(iter(block).__next__)
+                        except StopIteration:  # the stream's words after the first block
+                            dsc = draw(chain(block, _philox(keys, 1, c, m, t)).__next__)
+                        yield new_row(CaseResult, (task_id, method_id, f"case{c + 1:05d}", dsc))
 
 
 def generate_results(spec: SimSpec) -> list[CaseResult]:
@@ -229,6 +246,8 @@ def make_training_pairs(rows: Iterable[CaseResult]) -> PairsResult:
     are dropped because the Gamma response must be strictly positive.
     Both kinds are counted in the result.
     """
+    from .glm import TrainingPair
+
     groups: defaultdict[tuple[str, str], array] = defaultdict(partial(array, "d"))
     for task_id, method_id, _, dsc in rows:
         groups[task_id, method_id].append(dsc)

@@ -743,8 +743,13 @@ class TestSimulate:
              "7d1b204cc47c7991bba328ff6b8cd22e02b991fd93c6b9e44d53d7c374a59d67"),
             (["--cases", "200", "--family", "beta:4,2", "--seed", "7"],
              "d65dcaaa8a0019bc29a01b63d00224bb2a2174689461ea73800869c0cebfce95"),
+            # more cases a group than one batch of first blocks, at shapes
+            # below 1, where every case reads past its first block
+            (["--tasks", "2", "--methods", "2", "--cases", "300", "--family", "beta:0.5,0.7",
+              "--seed", "11"],
+             "e632d1a41a3b8ed6b2316c91f70b9b5752b0fae464c9706608d7f53fe97fc8f1"),
         ],
-        ids=["default", "beta_4_2"],
+        ids=["default", "beta_4_2", "beta_0.5_0.7_300_cases"],
     )
     def test_output_bytes_pinned(self, capsys, tmp_path, argv, digest):
         # frozen per-case CSV bytes: any change to the stream layout or
@@ -767,6 +772,16 @@ class TestSimulate:
                          "--family", family, timeout=30)
         assert proc.returncode == 1
         assert "finite" in proc.stderr
+
+    @pytest.mark.parametrize("family, dsc", [("beta:1e308,1e308", "0.500000"),
+                                             ("beta:9e307,9e307", "0.500000"),
+                                             ("beta:1e308,1e307", "0.909091")])
+    def test_beta_variates_overflowing_their_sum(self, capsys, tmp_path, family, dsc):
+        # X + Y overflows to inf, and X / (X + Y) used to write 0.000000
+        out = tmp_path / "huge.csv"
+        assert run(capsys, "simulate", "--output", str(out), "--tasks", "1", "--methods", "2",
+                   "--cases", "3", "--family", family)[0] == 0
+        assert [line.split(",")[3] for line in out.read_text().splitlines()[1:]] == [dsc] * 6
 
     def test_beta_underflow_is_error(self, capsys, tmp_path):
         # both Gamma variates of some draw round to 0: x / (x + y) divided by zero
@@ -833,8 +848,9 @@ def peak_bytes(argv) -> int:
 
 def test_memory_grows_with_groups_not_rows(capsys, tmp_path):
     # 4k and 40k rows: 2 tasks of 4 methods with 500 and 5000 cases each.
-    # simulate holds one row at a time; fit holds the 8-byte dsc of each
-    # row, one array per group (the parent held ~130 bytes a row in both).
+    # simulate holds one batch of up to 256 cases at a time; fit holds the
+    # 8-byte dsc of each row, one array per group (an earlier design held
+    # ~130 bytes a row in both).
     cases, model = str(tmp_path / "cases.csv"), str(tmp_path / "m.json")
     main(["simulate", "--output", cases, "--tasks", "1", "--methods", "2", "--cases", "3"])
     main(["fit", "--input", cases, "--output", model])  # the imports, outside the peaks

@@ -5,11 +5,11 @@
 functions, the interval and corpus layers or the descriptive statistics.
 No command loads ``dataclasses`` or ``inspect`` (numpy loads the
 latter), and ``segci ci`` reads no CSV, so it loads neither ``csv`` nor
-``segci.io``.
+``segci.io``. ``import segci.cli`` loads no ``json``, and ``simulate``
+loads neither ``json`` nor ``segci.glm``.
 """
 
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -43,15 +43,18 @@ def assert_no_numpy(code: str) -> None:
 
 
 def new_modules(code: str) -> set:
-    """The modules that running ``code`` in a fresh interpreter adds to sys.modules."""
+    """The modules that running ``code`` in a fresh interpreter adds to sys.modules.
+
+    The probe prints them without json, so that a check can tell whether ``code`` loads it.
+    """
     script = (
-        "import json as _json, sys as _sys\n_before = set(_sys.modules)\n"
+        "import sys as _sys\n_before = set(_sys.modules)\n"
         f"{code}\n"
-        "print(_json.dumps(sorted(set(_sys.modules) - _before)))\n"
+        "print(*sorted(set(_sys.modules) - _before))\n"
     )
     proc = run_fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_import_segci_skips_numpy():
@@ -69,7 +72,7 @@ def test_import_cli_skips_numpy():
 
 def test_import_cli_skips_command_layers():
     loaded = new_modules("import segci.cli")
-    assert not loaded & {"segci.glm", "segci.io", "csv", *INTROSPECTION}, loaded
+    assert not loaded & {"segci.glm", "segci.io", "csv", "json", *INTROSPECTION}, loaded
 
 
 @pytest.mark.parametrize("extra", [[], ["--sd", "0.08"]], ids=["model_sd", "reported_sd"])
@@ -86,17 +89,20 @@ def test_ci_command_import_budget(extra):
     assert not loaded & CI_SKIPS, sorted(loaded & CI_SKIPS)
 
 
-def loaded_after(argv: list[str], cwd) -> dict:
-    """Run ``main(argv)`` in a fresh interpreter; which modules did it load?"""
+def loaded_after(argv: list[str], cwd) -> set:
+    """Run ``main(argv)`` in a fresh interpreter; which modules did it load?
+
+    As in :func:`new_modules`, the probe itself loads no json.
+    """
     code = (
-        "import json, sys\nimport segci.cli\n"
+        "import sys\nimport segci.cli\n"
         f"code = segci.cli.main({argv!r})\n"
-        "print(json.dumps([code, sorted(sys.modules)]))\n"
+        "print(code, *sorted(sys.modules))\n"
     )
     proc = run_fresh("-c", code, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
     return set(modules)
 
 
@@ -135,6 +141,14 @@ def test_simulate_skips_numpy(tmp_path):
     loaded = loaded_after(argv, tmp_path)
     assert "segci.rng" in loaded
     assert not loaded & {"numpy", *INTROSPECTION}, sorted(loaded & {"numpy", *INTROSPECTION})
+
+
+def test_simulate_skips_glm_and_json(tmp_path):
+    # simulate builds no training pairs and writes no JSON
+    argv = ["simulate", "--output", "cases.csv", "--tasks", "2", "--methods", "3", "--cases", "4"]
+    loaded = loaded_after(argv, tmp_path)
+    assert {"segci.io", "segci.simulate"} <= loaded
+    assert not loaded & {"segci.glm", "json"}, sorted(loaded & {"segci.glm", "json"})
 
 
 def test_fit_skips_numpy(tmp_path):

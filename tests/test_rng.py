@@ -1,11 +1,14 @@
 import hashlib
+import itertools
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import segci.rng
 from segci.rng import (
-    DOMAIN_CASES, _ziggurat_normal, _ziggurat_tables, substream, substreams, word_streams,
+    DOMAIN_CASES, _first_blocks, _round_keys, _ziggurat_normal, _ziggurat_tables, substream,
+    substreams, word_streams,
 )
 
 PATHS = [(), (4,), (4, 7), (4, 7, 11), (-1,), (2**64 + 3, 5)]
@@ -162,6 +165,24 @@ def test_word_streams_match_substream(domain, path):
     word = streams(*path)
     assert [word() for _ in range(10)] == substream(31, domain, *path).bit_generator.random_raw(
         10).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 255, 256, 257])
+def test_first_blocks_match_word_streams(seed, n):
+    # each lane's words, at the edges of every counter word: a lane that
+    # carried into its neighbour, or a case index that did not wrap, shows here
+    streams, keys = word_streams(seed, DOMAIN_CASES), _round_keys(seed, DOMAIN_CASES)
+    for t, m, c in itertools.product((0, 2**64 - 1), repeat=3):
+        blocks = _first_blocks(keys, t, m, c, n)
+        assert len(blocks) == n
+        for i, block in enumerate(blocks):
+            word = streams(t, m, c + i)
+            assert block == (word(), word(), word(), word()), (t, m, c, i)
+
+
+def test_batch_helpers_stay_private():
+    assert not {"_first_blocks", "_round_keys"} & set(segci.rng.__all__)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])

@@ -22,6 +22,7 @@ from segci import (
 from segci.cli import bundled_demo_corpus_path
 from segci.io import read_corpus_csv
 from segci.rng import DOMAIN_CASES, gamma_sampler, substream, substreams, word_streams
+from segci.simulate import _BATCH
 from test_imports import run_fresh
 
 
@@ -133,6 +134,14 @@ class TestSampleBeta:
             sample_beta(0.005, 0.005, substream(1, 5, 327))
         assert 0.0 <= sample_beta(0.005, 0.005, substream(1, 5, 326)) <= 1.0
 
+    @pytest.mark.parametrize("a, b", [(1e308, 1e308), (9e307, 9e307), (1e308, 1e307)])
+    def test_shapes_whose_variates_overflow_their_sum(self, a, b):
+        # Gamma(1e308) variates lie near 1e308, and X + Y overflows to inf:
+        # X / (X + Y) read 0 where Beta(a, b) has mean a / (a + b), which overflows too
+        mean = 1 / (1 + b / a)
+        for i in range(20):
+            assert sample_beta(a, b, substream(2, 5, i)) == pytest.approx(mean, rel=1e-12)
+
     def test_distribution_matches_reference(self):
         # distribution-level check against scipy's Beta CDF
         streams = substreams(23, 5)
@@ -187,6 +196,15 @@ class TestGenerateResults:
         assert got == [(*r[:3], r.dsc.hex()) for r in reference_results(spec)]
         assert all(type(r) is CaseResult for r in generate_results(spec))
 
+    @pytest.mark.parametrize("family", ["beta:0.5,0.7", "beta:8,2"])
+    def test_matches_reference_loop_across_a_batch(self, family):
+        # the first blocks of up to _BATCH cases are computed together; at
+        # shapes below 1 every case also reads past its first block
+        spec = SimSpec(n_tasks=1, methods_per_task=2, cases_per_task=_BATCH + 1,
+                       family=parse_family(family), seed=2**63 + 9)
+        got = [(*r[:3], r.dsc.hex()) for r in generate_results(spec)]
+        assert got == [(*r[:3], r.dsc.hex()) for r in reference_results(spec)]
+
     def test_matches_reference_loop_with_exclusions(self):
         spec = SimSpec(n_tasks=3, methods_per_task=4, cases_per_task=9,
                        family=BetaFamily(2.0, 5.0), seed=5, exclude=((0, 0), (1, 3), (2, 1)))
@@ -195,6 +213,11 @@ class TestGenerateResults:
         assert [(*r[:3], r.dsc.hex()) for r in rows] == [
             (*r[:3], r.dsc.hex()) for r in reference_results(spec)
         ]
+
+    def test_shapes_whose_variates_overflow_their_sum(self):
+        for family, mean in ((BetaFamily(1e308, 1e308), 0.5), (BetaFamily(1e308, 1e307), 1 / 1.1)):
+            spec = SimSpec(n_tasks=2, methods_per_task=1, cases_per_task=5, family=family, seed=4)
+            assert [r.dsc for r in generate_results(spec)] == pytest.approx([mean] * 10, rel=1e-12)
 
     def test_constant_family(self):
         spec = SimSpec(n_tasks=1, methods_per_task=2, cases_per_task=3,
