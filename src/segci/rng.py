@@ -11,8 +11,10 @@ The simulator reads the same words from a pure-Python Philox
 (:func:`word_streams`) and turns them into Gamma variates itself
 (:func:`gamma_sampler`), with a copy of numpy 2.4.6's ziggurat normal,
 so it loads no numpy and its draws do not change with the numpy release.
-It computes the first blocks of up to 256 cases of a group together
-(``_first_blocks``), which give the same words as each case's own stream.
+Its words come from ``_blocks``, the one spelling of the cipher here,
+which computes one block of many streams of a (seed, domain) in one pass:
+the simulator's cases a batch at a time, and :func:`word_streams` a
+single path.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import math
 import sys
 from array import array
 from importlib import resources
-from typing import Callable, Iterator
+from itertools import chain, count
+from typing import Callable, Sequence
 
 __all__ = ["substream", "substreams", "word_streams", "gamma_sampler"]
 
@@ -100,31 +103,6 @@ def substreams(seed: int, domain: int) -> Callable[..., "numpy.random.Generator"
     return at
 
 
-def _philox(keys: tuple[tuple[int, int], ...], c0: int, c1: int, c2: int, c3: int
-            ) -> Iterator[int]:
-    """The words of Philox4x64-10 (Salmon et al. 2011) after counter (c0, c1, c2, c3).
-
-    ``keys`` holds the ten round keys. As numpy does, the counter is
-    incremented before each block of four words. Only the low word is
-    incremented: it starts at 0 on every reset, and no stream draws 2^64
-    blocks, so it never carries.
-    """
-    while True:
-        c0 += 1
-        x0, x1, x2, x3 = c0, c1, c2, c3
-        for k0, k1 in keys:
-            p0 = 0xD2E7470EE14C6C93 * x0
-            p1 = 0xCA5A826395121157 * x2
-            x0 = (p1 >> 64) ^ x1 ^ k0
-            x2 = (p0 >> 64) ^ x3 ^ k1
-            x1 = p1 & 0xFFFFFFFFFFFFFFFF
-            x3 = p0 & 0xFFFFFFFFFFFFFFFF
-        yield x0
-        yield x1
-        yield x2
-        yield x3
-
-
 def _round_keys(seed: int, domain: int) -> tuple[tuple[int, int], ...]:
     """The ten Philox4x64-10 round keys of the key (seed, domain), bumped as numpy bumps them."""
     k0, k1, keys = seed & _U64_MASK, domain & _U64_MASK, []
@@ -141,26 +119,28 @@ def word_streams(seed: int, domain: int) -> Callable[..., Words]:
     ``streams = word_streams(seed, domain)``; ``streams(*path)`` returns
     a zero-argument function whose calls give the words that
     ``substream(seed, domain, *path).bit_generator.random_raw()`` gives,
-    from the same key and the same counter layout.
+    from the same key and the same counter layout: blocks 1, 2, ... of
+    the path, from :func:`_blocks`.
     """
     keys = _round_keys(seed, domain)
 
     def at(*path: int) -> Words:
-        return _philox(keys, *_counter_words(path)).__next__
+        _, c, m, t = _counter_words(path)
+        return chain.from_iterable(_blocks(keys, t, m, (c,), block)[0]
+                                   for block in count(1)).__next__
 
     return at
 
 
 @functools.lru_cache(maxsize=4)
-def _lanes(keys: tuple[tuple[int, int], ...], n: int) -> tuple[int, int, int, tuple]:
+def _lanes(keys: tuple[tuple[int, int], ...], n: int) -> tuple[int, int, tuple]:
     """Constants of n packed 128-bit lanes, lane i at bits [128 i, 128 i + 128).
 
-    A 1 in each lane; each lane's low 64 bits set; i in lane i; and each
-    round key repeated in every lane.
+    A 1 in each lane; each lane's low 64 bits set; and each round key
+    repeated in every lane.
     """
     one = ((1 << 128 * n) - 1) // ((1 << 128) - 1)
-    index = sum(i << 128 * i for i in range(n))
-    return one, one * _U64_MASK, index, tuple((k0 * one, k1 * one) for k0, k1 in keys)
+    return one, one * _U64_MASK, tuple((k0 * one, k1 * one) for k0, k1 in keys)
 
 
 # Lane i's low word in array("Q", lanes.to_bytes(16 * n, sys.byteorder)):
@@ -168,20 +148,25 @@ def _lanes(keys: tuple[tuple[int, int], ...], n: int) -> tuple[int, int, int, tu
 _LOW_WORDS = slice(0, None, 2) if sys.byteorder == "little" else slice(-1, None, -2)
 
 
-def _first_blocks(keys: tuple[tuple[int, int], ...], t: int, m: int, c: int, n: int
-                  ) -> list[tuple[int, int, int, int]]:
-    """The first Philox block of each of the n paths (t, m, c), ..., (t, m, c + n - 1).
+def _blocks(keys: tuple[tuple[int, int], ...], t: int, m: int, cases: Sequence[int],
+            block: int) -> list[tuple[int, int, int, int]]:
+    """Philox4x64-10 (Salmon et al. 2011) block ``block`` of each path (t, m, c), c in ``cases``.
 
-    Block i holds the first four words of ``word_streams(seed, domain)(t, m, c + i)``
-    (its case index taken mod 2^64), where ``keys`` is ``_round_keys(seed, domain)``.
-    All n blocks are computed in one pass of big-int arithmetic: the
-    n values of each Philox word share an int, one in each 128-bit lane,
-    so a product with a 64-bit multiplier fills its lane and does not
-    reach the next one.
+    Entry i holds words 4 (block - 1) to 4 block - 1 of
+    ``word_streams(seed, domain)(t, m, cases[i])``, where ``keys`` is
+    ``_round_keys(seed, domain)`` and t, m and each case lie in [0, 2^64).
+    As numpy does, the counter (block, c, m, t) is incremented before
+    each block, so block 1 is the first; only its low word moves, and no
+    stream draws 2^64 blocks. All blocks are computed in one pass of
+    big-int arithmetic: the values of each Philox word share an int, one
+    in each 128-bit lane, so a product with a 64-bit multiplier fills its
+    lane and does not reach the next one.
     """
-    one, low, index, lane_keys = _lanes(keys, n)
-    x0, x1 = one, ((c & _U64_MASK) * one + index) & low
-    x2, x3 = (m & _U64_MASK) * one, (t & _U64_MASK) * one
+    n, nbytes, order = len(cases), 16 * len(cases), sys.byteorder
+    one, low, lane_keys = _lanes(keys, n)
+    packed = array("Q", bytes(nbytes))
+    packed[_LOW_WORDS] = array("Q", cases)
+    x0, x1, x2, x3 = block * one, int.from_bytes(packed, order), m * one, t * one
     for k0, k1 in lane_keys:
         p0 = 0xD2E7470EE14C6C93 * x0
         p1 = 0xCA5A826395121157 * x2
@@ -189,7 +174,6 @@ def _first_blocks(keys: tuple[tuple[int, int], ...], t: int, m: int, c: int, n: 
         x2 = (p0 >> 64) & low ^ x3 ^ k1
         x1 = p1 & low
         x3 = p0 & low
-    nbytes, order = 16 * n, sys.byteorder
     return list(zip(*(array("Q", x.to_bytes(nbytes, order))[_LOW_WORDS] for x in (x0, x1, x2, x3))))
 
 
@@ -245,24 +229,27 @@ def _ziggurat_normal() -> Callable[[Words], float]:
 def gamma_sampler(shape: float) -> Callable[[Words], float]:
     """Sampler of Gamma(shape, 1) draws: ``gamma_sampler(shape)(word)``.
 
-    Marsaglia-Tsang squeeze method on the word source ``word``; shapes
-    below 1 are boosted to shape+1 and corrected with a uniform power
-    factor, whose uniform is drawn first. Normals come from
-    :func:`_ziggurat_normal` and uniforms from a word's top 53 bits, so on
-    ``rng.bit_generator.random_raw`` the draws and the words they use
-    are those of numpy's ``standard_normal`` and ``random``. The
-    constants are computed once here, so each call costs only the loop.
+    Marsaglia & Tsang's (2000) method on the word source ``word``: a
+    normal x gives v = (1 + c x)^3, and d v is accepted when a uniform u
+    has log u < x^2 / 2 + d - d v + d log v. That log test is the only
+    one; no squeeze test runs before it. Shapes below 1 are boosted to
+    shape+1 and corrected with a uniform power factor, whose uniform is
+    drawn first. Normals come from :func:`_ziggurat_normal` and uniforms
+    from a word's top 53 bits, so on ``rng.bit_generator.random_raw`` the
+    draws and the words they use are those of numpy's ``standard_normal``
+    and ``random``. The constants, and the ``math`` functions the draws
+    call, are bound once here, so each call costs only the loop.
     """
     if not 0.0 < shape < math.inf:
         raise ValueError(f"gamma shape must be positive and finite, got {shape}")
-    normal, log = _ziggurat_normal(), math.log
+    normal, log, power = _ziggurat_normal(), math.log, math.pow
     d = (shape if shape >= 1.0 else shape + 1.0) - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
 
     def draw(word: Words) -> float:
         while True:
             x = normal(word)
-            v = (1.0 + c * x) ** 3
+            v = power(1.0 + c * x, 3.0)
             if v <= 0.0:
                 continue
             u = (word() >> 11) * _TO_UNIT
@@ -275,6 +262,6 @@ def gamma_sampler(shape: float) -> Callable[[Words], float]:
 
     def boosted(word: Words) -> float:
         u = (word() >> 11) * _TO_UNIT
-        return draw(word) * u**exponent
+        return draw(word) * power(u, exponent)
 
     return boosted

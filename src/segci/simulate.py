@@ -14,7 +14,6 @@ import math
 from array import array
 from collections import defaultdict
 from functools import partial
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from . import _check_seed, _checked, _mean_sd
@@ -167,7 +166,7 @@ class CaseResult(NamedTuple):
     dsc: float
 
 
-# The cases of a group whose first Philox blocks are computed in one pass.
+# The cases of a group whose Philox blocks are computed in one pass.
 _BATCH = 256
 
 
@@ -190,15 +189,17 @@ class SimulatedRows:
         return groups * spec.cases_per_task
 
     def __iter__(self) -> Iterator[CaseResult]:
-        """Case c of method m on task t draws ``spec.family.sampler()(streams(t, m, c))``.
+        """Case c of method m on task t draws ``spec.family.sampler()`` from stream (t, m, c).
 
-        ``streams`` is :func:`~segci.rng.word_streams` of (seed,
-        ``DOMAIN_CASES``); the family's sampler is built once. The first
-        blocks of up to 256 cases of a group are computed together, and
-        give the same words; a draw that reads past its case's first
-        block is drawn again from the whole stream.
+        The stream is :func:`~segci.rng.word_streams` of (seed,
+        ``DOMAIN_CASES``) and path (t, m, c); the family's sampler is
+        built once. The Philox blocks of up to 256 cases of a group are
+        computed together, block 1 for all of them; the cases whose draws
+        read past their words get their next block together, and are
+        drawn again from all their words so far, until every case of the
+        batch is drawn. So each case reads exactly its own stream's words.
         """
-        from .rng import DOMAIN_CASES, _first_blocks, _philox, _round_keys
+        from .rng import DOMAIN_CASES, _blocks, _round_keys
 
         spec = self.spec
         excluded = set(spec.exclude)
@@ -213,12 +214,20 @@ class SimulatedRows:
                     continue
                 method_id = f"method{m + 1:02d}"
                 for start in range(0, n_cases, _BATCH):
-                    blocks = _first_blocks(keys, t, m, start, min(_BATCH, n_cases - start))
-                    for c, block in enumerate(blocks, start):
-                        try:
-                            dsc = draw(iter(block).__next__)
-                        except StopIteration:  # the stream's words after the first block
-                            dsc = draw(chain(block, _philox(keys, 1, c, m, t)).__next__)
+                    n = min(_BATCH, n_cases - start)
+                    words, dscs = [()] * n, [0.0] * n
+                    pending, block = range(n), 1
+                    while pending:
+                        more = _blocks(keys, t, m, [start + i for i in pending], block)
+                        for i, next_words in zip(pending, more):
+                            words[i] += next_words
+                        todo, pending, block = pending, [], block + 1
+                        for i in todo:
+                            try:
+                                dscs[i] = draw(iter(words[i]).__next__)
+                            except StopIteration:  # drawn again with its next block
+                                pending.append(i)
+                    for c, dsc in enumerate(dscs, start):
                         yield new_row(CaseResult, (task_id, method_id, f"case{c + 1:05d}", dsc))
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import tracemalloc
 
@@ -30,6 +31,20 @@ REMOVED_FLAGS = [
     for flag in FORMER_FLAGS
     if flag not in read
 ]
+
+
+# simulate's argv -> sha256 of its output
+SIMULATE_PINS = {
+    "default": (["--seed", "42"],
+                "7d1b204cc47c7991bba328ff6b8cd22e02b991fd93c6b9e44d53d7c374a59d67"),
+    "beta_4_2": (["--cases", "200", "--family", "beta:4,2", "--seed", "7"],
+                 "d65dcaaa8a0019bc29a01b63d00224bb2a2174689461ea73800869c0cebfce95"),
+    # more cases a group than one batch, at shapes below 1, where every
+    # case reads past its first block
+    "beta_0.5_0.7_300_cases": (["--tasks", "2", "--methods", "2", "--cases", "300",
+                                "--family", "beta:0.5,0.7", "--seed", "11"],
+                               "e632d1a41a3b8ed6b2316c91f70b9b5752b0fae464c9706608d7f53fe97fc8f1"),
+}
 
 
 def run(capsys, *argv):
@@ -736,27 +751,37 @@ class TestSimulate:
             "converged": True,
         }
 
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (["--seed", "42"],
-             "7d1b204cc47c7991bba328ff6b8cd22e02b991fd93c6b9e44d53d7c374a59d67"),
-            (["--cases", "200", "--family", "beta:4,2", "--seed", "7"],
-             "d65dcaaa8a0019bc29a01b63d00224bb2a2174689461ea73800869c0cebfce95"),
-            # more cases a group than one batch of first blocks, at shapes
-            # below 1, where every case reads past its first block
-            (["--tasks", "2", "--methods", "2", "--cases", "300", "--family", "beta:0.5,0.7",
-              "--seed", "11"],
-             "e632d1a41a3b8ed6b2316c91f70b9b5752b0fae464c9706608d7f53fe97fc8f1"),
-        ],
-        ids=["default", "beta_4_2", "beta_0.5_0.7_300_cases"],
-    )
+    @pytest.mark.parametrize("argv, digest", list(SIMULATE_PINS.values()), ids=list(SIMULATE_PINS))
     def test_output_bytes_pinned(self, capsys, tmp_path, argv, digest):
         # frozen per-case CSV bytes: any change to the stream layout or
         # to the draw order shows up here
         out = tmp_path / "cases.csv"
         assert run(capsys, "simulate", "--output", str(out), *argv)[0] == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_pins_hold_under_one_ulp_libm(self, capsys, tmp_path, monkeypatch):
+        # libm need not round correctly: each call of the math functions the
+        # draws use is nudged one ulp, up or down at random, and no pin moves
+        direction = random.Random(9)
+        calls = dict.fromkeys(["log", "exp", "log1p", "pow"], 0)
+
+        def nudged(name):
+            exact = getattr(math, name)
+
+            def call(*args):
+                calls[name] += 1
+                toward = math.inf if direction.getrandbits(1) else -math.inf
+                return math.nextafter(exact(*args), toward)
+
+            return call
+
+        for name in calls:  # before the samplers are built, as they bind these
+            monkeypatch.setattr(math, name, nudged(name))
+        out = tmp_path / "cases.csv"
+        for argv, digest in SIMULATE_PINS.values():
+            assert run(capsys, "simulate", "--output", str(out), *argv)[0] == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
+        assert all(calls.values()), calls  # the tail's log1p included
 
     def test_bad_family(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--output", str(tmp_path / "x.csv"),

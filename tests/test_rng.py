@@ -7,7 +7,7 @@ import pytest
 
 import segci.rng
 from segci.rng import (
-    DOMAIN_CASES, _first_blocks, _round_keys, _ziggurat_normal, _ziggurat_tables, substream,
+    DOMAIN_CASES, _blocks, _round_keys, _ziggurat_normal, _ziggurat_tables, substream,
     substreams, word_streams,
 )
 
@@ -170,19 +170,21 @@ def test_word_streams_match_substream(domain, path):
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("n", [1, 255, 256, 257])
 def test_first_blocks_match_word_streams(seed, n):
-    # each lane's words, at the edges of every counter word: a lane that
-    # carried into its neighbour, or a case index that did not wrap, shows here
-    streams, keys = word_streams(seed, DOMAIN_CASES), _round_keys(seed, DOMAIN_CASES)
+    # blocks 1 and 2 of each lane against numpy's words, at the edges of
+    # every counter word, for consecutive cases and for cases out of order:
+    # a lane that carried into its neighbour, or a case in the wrong lane, shows here
+    streams, keys = substreams(seed, DOMAIN_CASES), _round_keys(seed, DOMAIN_CASES)
     for t, m, c in itertools.product((0, 2**64 - 1), repeat=3):
-        blocks = _first_blocks(keys, t, m, c, n)
-        assert len(blocks) == n
-        for i, block in enumerate(blocks):
-            word = streams(t, m, c + i)
-            assert block == (word(), word(), word(), word()), (t, m, c, i)
+        consecutive = [(c + i) & _M64 for i in range(n)]
+        for cases in (consecutive, consecutive[::-3]):
+            words = [streams(t, m, case).bit_generator.random_raw(8).tolist() for case in cases]
+            for block in (1, 2):
+                got = _blocks(keys, t, m, cases, block)
+                assert got == [tuple(w[4 * block - 4:4 * block]) for w in words], (t, m, c, block)
 
 
 def test_batch_helpers_stay_private():
-    assert not {"_first_blocks", "_round_keys"} & set(segci.rng.__all__)
+    assert not {"_blocks", "_round_keys"} & set(segci.rng.__all__)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sp_stats
 
+import segci.rng
 from segci import (
     BetaFamily,
     CaseResult,
@@ -203,6 +204,23 @@ class TestGenerateResults:
         spec = SimSpec(n_tasks=1, methods_per_task=2, cases_per_task=_BATCH + 1,
                        family=parse_family(family), seed=2**63 + 9)
         got = [(*r[:3], r.dsc.hex()) for r in generate_results(spec)]
+        assert got == [(*r[:3], r.dsc.hex()) for r in reference_results(spec)]
+
+    def test_overrunning_cases_continue_in_batch(self, monkeypatch):
+        # at shapes below 1 every case reads past its first block; the cases
+        # of a batch that need block k fetch it together, in one call
+        calls, blocks = [], segci.rng._blocks
+
+        def counted(keys, t, m, cases, block):
+            calls.append((block, len(cases)))
+            return blocks(keys, t, m, cases, block)
+
+        monkeypatch.setattr(segci.rng, "_blocks", counted)
+        spec = SimSpec(n_tasks=1, methods_per_task=1, cases_per_task=_BATCH,
+                       family=parse_family("beta:0.5,0.7"), seed=3)
+        got = [(*r[:3], r.dsc.hex()) for r in generate_results(spec)]
+        assert [block for block, _ in calls] == list(range(1, len(calls) + 1))
+        assert calls[:2] == [(1, _BATCH), (2, _BATCH)]
         assert got == [(*r[:3], r.dsc.hex()) for r in reference_results(spec)]
 
     def test_matches_reference_loop_with_exclusions(self):
