@@ -91,6 +91,24 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
+def _number(kind):
+    """A parser of text as ``kind`` that refuses "1_00", which ``int`` and ``float`` read as 100.
+
+    Every numeric flag and CSV field is read through ``_INT`` or ``_FLOAT``, or repeats its test.
+    """
+    def parse(text: str):
+        if "_" in text:
+            raise ValueError(text)
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_INT = _number(int)
+_FLOAT = _number(float)
+
+
 def _mean_sd(values) -> "tuple[float, float] | None":
     """The mean and corrected two-pass n-1 SD of ``values``; None if all are equal.
 

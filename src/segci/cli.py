@@ -20,7 +20,7 @@ from pathlib import Path
 # pure-Python Philox of segci.rng), `simulate` and `fit` run without the
 # special functions, `simulate` also without segci.glm and json, and
 # `ci` without the csv module and the file readers of segci.io.
-from . import DataFormatError
+from . import _FLOAT, _INT, DataFormatError
 
 __all__ = ["main", "build_parser", "bundled_demo_corpus_path"]
 
@@ -53,25 +53,6 @@ def _dump_json(doc: dict, path: "str | Path | None") -> str:
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text
-
-
-def _number(kind):
-    """An argparse ``type`` that reads ``kind`` but refuses underscore literals.
-
-    ``int`` and ``float`` read "1_00" as 100; the CSV readers refuse it,
-    and so does every numeric flag.
-    """
-    def parse(text: str):
-        if "_" in text:
-            raise ValueError(text)
-        return kind(text)
-
-    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
-    return parse
-
-
-_INT = _number(int)
-_FLOAT = _number(float)
 
 
 def _load_model(args):

@@ -8,7 +8,9 @@ Formats (headers are exact):
 * calibration input:  ``task_id,method_id,n,mean_dsc,observed_sd``
 
 All numeric fields use a dot decimal separator; floats are written with
-6 decimal places.
+6 decimal places; a number with an underscore, such as ``1_0``, is refused.
+Ids are quoted by RFC 4180's rule: a field that holds a ``,``, a ``"``, a
+carriage return or a line feed is put in double quotes, each ``"`` doubled.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import stat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import DataFormatError
+from . import _FLOAT, _INT, DataFormatError
 
 if TYPE_CHECKING:
     from .corpus import PaperRecord
@@ -112,9 +114,7 @@ def _rows(path: "str | Path", expected_header: list[str]) -> Iterator:
 
 def _parse_float(cell: str, name: str) -> float:
     try:
-        if "_" in cell:
-            raise ValueError  # float() reads "1_0" as 10
-        value = float(cell)
+        value = _FLOAT(cell)
     except ValueError:
         raise ValueError(f"field {name!r} is not a number: {cell!r}") from None
     if not math.isfinite(value):
@@ -124,9 +124,7 @@ def _parse_float(cell: str, name: str) -> float:
 
 def _parse_int(cell: str, name: str) -> int:
     try:
-        if "_" in cell:
-            raise ValueError  # int() reads "1_0" as 10
-        return int(cell)
+        return _INT(cell)
     except ValueError:
         raise ValueError(f"field {name!r} is not an integer: {cell!r}") from None
 
@@ -159,41 +157,41 @@ def iter_per_case_csv(path: "str | Path") -> Iterator[tuple[str, str, str, float
                 dsc = float(cell)
             except ValueError:
                 dsc = math.nan
-            if not 0.0 <= dsc <= 1.0 or "_" in cell:  # float() reads "1_0" as 10
+            if not 0.0 <= dsc <= 1.0 or "_" in cell:  # _FLOAT's rule, inline for speed
                 raise ValueError(f"dsc must lie in [0, 1], got {_parse_float(cell, 'dsc')}")
             yield task_id.strip(), method_id.strip(), case_id.strip(), dsc
 
 
-class _Echo:
-    """A file for ``csv.writer`` whose ``write`` returns the line it is given."""
+_needs_quotes = re.compile('[,"\r\n]').search
 
-    @staticmethod
-    def write(line: str) -> str:
-        return line
+
+def _field(text: str) -> str:
+    """``text`` as a CSV field, by RFC 4180's rule (section 2).
+
+    In double quotes, each ``"`` doubled, if it holds a ``,``, a ``"``, a ``\\r``
+    or a ``\\n``, which would end the field or the row for a reader; else as it is.
+    """
+    if _needs_quotes(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_per_case_csv(rows: Iterable[CaseResult], path: "str | Path") -> None:
     """Write per-case rows, each as it is iterated; each line ends with ``\\n``.
 
-    A field is quoted by ``csv.writer`` when it holds a ``,``, a ``"``,
-    a ``\\r`` or a ``\\n`` (the writer's ``\\r\\n`` terminator makes it
-    quote both: unquoted, a reader ends the row there) and written as it
-    is otherwise. Task and method ids are formatted once each; every row
-    is then one f-string. If a row fails to draw or write, ``path`` is
-    removed if it is a regular file: opening it truncated any old content.
+    Each id is written as :func:`_field` quotes it: task and method ids once each,
+    and a case id only if it needs quotes, so that every row is one f-string. If a
+    row fails to draw or write, ``path`` is removed if it is a regular file:
+    opening it truncated any old content.
     """
-    csv_line = csv.writer(_Echo, lineterminator="\r\n").writerow
-    # the empty second field keeps an empty id unquoted, as inside a row
-    quote = lambda text: csv_line([text, ""])[:-3]
-    group_field = functools.cache(quote)  # as many entries as tasks and methods
-    needs_quotes = re.compile('[,"\r\n]').search
+    group_field = functools.cache(_field)  # as many entries as tasks and methods
     fh = open(path, "w", encoding="utf-8", newline="")
     try:
         with fh:
             fh.write(",".join(PER_CASE_HEADER) + "\n")
             fh.writelines(
                 f"{group_field(task_id)},{group_field(method_id)},"
-                f"{quote(case_id) if needs_quotes(case_id) else case_id},{dsc:.6f}\n"
+                f"{_field(case_id) if _needs_quotes(case_id) else case_id},{dsc:.6f}\n"
                 for task_id, method_id, case_id, dsc in rows
             )
     except BaseException:

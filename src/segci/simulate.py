@@ -107,7 +107,7 @@ class ConstantFamily(NamedTuple):
 def parse_family(text: str) -> "BetaFamily | ConstantFamily":
     """Parse a family spec string: ``beta:a,b`` or ``constant:c``."""
     name, _, params = text.partition(":")
-    if "_" in params:  # float() reads "1_0" as 10
+    if "_" in params:  # segci._FLOAT's rule, inline so that the message names the family
         raise ValueError(f"family parameters must be plain numbers, got {text!r}")
     if name == "beta":
         parts = params.split(",")

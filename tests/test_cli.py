@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from segci import cli
+from segci import cli, paper_model, reconstruct_ci, special
 from segci.cli import _dump_json, bundled_demo_corpus_path, main
 from test_imports import run_fresh
 
@@ -46,6 +46,41 @@ SIMULATE_PINS = {
                                "e632d1a41a3b8ed6b2316c91f70b9b5752b0fae464c9706608d7f53fe97fc8f1"),
 }
 
+# analyze's flags -> sha256 of its report on the bundled demo corpus
+ANALYZE_PINS = {
+    "default": ([], "7e46abf012ab5b878a1ed3a24e4d6cf5eef03ea7c1e4759a2fa88a00660fd562"),
+    "no_clamp_model_sd_alpha_0.1": (["--no-clamp", "--force-model-sd", "--alpha", "0.1"],
+                                    "ab12d3c4e4898644d0828f72ff6ebdb08a59f23624145e4ce408d9cd8e19e3e8"),
+}
+
+# calibrate's flags on write_calibration_input's file -> exit code, sha256 of the
+# summary JSON and sha256 of the points CSV
+CALIBRATE_PINS = {
+    "default": ([], 0,
+                "9c6fba025d1864580cf274ee429ccdf54ddc94a524d6bf89d0dc2d7488cf7806",
+                "a2664d526112af661ec73f77e14d836bdd3a983ebabb5f771fc2bd3ee799a9b4"),
+    "alpha_0.1_min_n_100": (["--alpha", "0.1", "--min-n", "100"], 0,
+                            "b582e693030bf7280c5fe057c15156c485b18e1f1c841729ee4b259cc42a0369",
+                            "2077d8f0782d4b4cf9ca9bba568aa6d8584f99290c7c1dd727afb25de45d8ddf"),
+    # every n is at most 299: the summary is empty, and the run exits 2
+    "min_n_300_empty": (["--min-n", "300"], 2,
+                        "a16d3f50291db7505d0e06dd90ccce71846bcdce7f7bb12cb76b7b9a31d6365d",
+                        "a2664d526112af661ec73f77e14d836bdd3a983ebabb5f771fc2bd3ee799a9b4"),
+}
+
+# the model that `fit` writes from `simulate --seed 42`
+GOLDEN_MODEL = {
+    "coefficients": [-5.658939, 0.234743, -0.001662],
+    "dispersion": 0.008771,
+    "scale": "percent",
+    "n_obs": 190,
+    "converged": True,
+}
+
+# reconstruct_ci(0.9, 10, None, paper_model())'s interval, as float.hex(); the model SD it
+# returns is exp's own result, and moves with libm's last bit
+CI_PIN = ("0x1.af55edc212804p-1", "0x1.ea43abd787196p-1")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -58,6 +93,18 @@ def write_exact_fit_pairs(path, coeffs=PAPER_COEFFS):
     for x in range(10, 100, 10):
         sd = math.exp(coeffs[0] + coeffs[1] * x + coeffs[2] * x * x)
         lines.append(f"{float(x)},{sd!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_calibration_input(path):
+    # 200 aggregates: 20 tasks of 10 methods, n from 2 to 299 and
+    # observed SDs both under and over the model's prediction
+    lines = ["task_id,method_id,n,mean_dsc,observed_sd"]
+    for i in range(200):
+        n = 2 + (i * 37) % 298
+        mean = 0.55 + 0.44 * ((i * 53) % 200) / 199
+        sd = 0.01 + 0.2 * ((i * 71) % 200) / 199
+        lines.append(f"task{i // 10},m{i % 10},{n},{mean!r},{sd!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -485,39 +532,13 @@ class TestCalibrate:
         assert code == 2
         assert "line 3" in err and "observed_sd" in err
 
-    @staticmethod
-    def write_generated_input(path):
-        # 200 aggregates: 20 tasks of 10 methods, n from 2 to 299 and
-        # observed SDs both under and over the model's prediction
-        lines = ["task_id,method_id,n,mean_dsc,observed_sd"]
-        for i in range(200):
-            n = 2 + (i * 37) % 298
-            mean = 0.55 + 0.44 * ((i * 53) % 200) / 199
-            sd = 0.01 + 0.2 * ((i * 71) % 200) / 199
-            lines.append(f"task{i // 10},m{i % 10},{n},{mean!r},{sd!r}")
-        path.write_text("\n".join(lines) + "\n")
-
-    @pytest.mark.parametrize(
-        "flags, code, summary_digest, points_digest",
-        [
-            ([], 0,
-             "9c6fba025d1864580cf274ee429ccdf54ddc94a524d6bf89d0dc2d7488cf7806",
-             "a2664d526112af661ec73f77e14d836bdd3a983ebabb5f771fc2bd3ee799a9b4"),
-            (["--alpha", "0.1", "--min-n", "100"], 0,
-             "b582e693030bf7280c5fe057c15156c485b18e1f1c841729ee4b259cc42a0369",
-             "2077d8f0782d4b4cf9ca9bba568aa6d8584f99290c7c1dd727afb25de45d8ddf"),
-            # every n is at most 299: the summary is empty, and the run exits 2
-            (["--min-n", "300"], 2,
-             "a16d3f50291db7505d0e06dd90ccce71846bcdce7f7bb12cb76b7b9a31d6365d",
-             "a2664d526112af661ec73f77e14d836bdd3a983ebabb5f771fc2bd3ee799a9b4"),
-        ],
-        ids=["default", "alpha_0.1_min_n_100", "min_n_300_empty"],
-    )
+    @pytest.mark.parametrize("flags, code, summary_digest, points_digest",
+                             list(CALIBRATE_PINS.values()), ids=list(CALIBRATE_PINS))
     def test_output_bytes_pinned(self, capsys, tmp_path, flags, code, summary_digest,
                                  points_digest):
         # frozen summary JSON and points CSV bytes for a generated input
         src, summary, points = tmp_path / "cal.csv", tmp_path / "s.json", tmp_path / "p.csv"
-        self.write_generated_input(src)
+        write_calibration_input(src)
         got, _, err = run(capsys, "calibrate", "--input", str(src), "--summary", str(summary),
                           "--points", str(points), *flags)
         assert got == code
@@ -596,15 +617,7 @@ class TestAnalyze:
         assert doc["delta"]["median"] == pytest.approx(0.01, abs=0.005)
         assert doc["overlap_fraction"] == pytest.approx(0.65, abs=0.05)
 
-    @pytest.mark.parametrize(
-        "flags, digest",
-        [
-            ([], "7e46abf012ab5b878a1ed3a24e4d6cf5eef03ea7c1e4759a2fa88a00660fd562"),
-            (["--no-clamp", "--force-model-sd", "--alpha", "0.1"],
-             "ab12d3c4e4898644d0828f72ff6ebdb08a59f23624145e4ce408d9cd8e19e3e8"),
-        ],
-        ids=["default", "no_clamp_model_sd_alpha_0.1"],
-    )
+    @pytest.mark.parametrize("flags, digest", list(ANALYZE_PINS.values()), ids=list(ANALYZE_PINS))
     def test_demo_report_bytes_pinned(self, capsys, tmp_path, flags, digest):
         # frozen report bytes for the bundled demo corpus
         out = tmp_path / "report.json"
@@ -742,14 +755,7 @@ class TestSimulate:
         model = tmp_path / "model.json"
         assert run(capsys, "simulate", "--output", str(cases), "--seed", "42")[0] == 0
         assert run(capsys, "fit", "--input", str(cases), "--output", str(model))[0] == 0
-        doc = json.loads(model.read_text())
-        assert doc == {
-            "coefficients": [-5.658939, 0.234743, -0.001662],
-            "dispersion": 0.008771,
-            "scale": "percent",
-            "n_obs": 190,
-            "converged": True,
-        }
+        assert json.loads(model.read_text()) == GOLDEN_MODEL
 
     @pytest.mark.parametrize("argv, digest", list(SIMULATE_PINS.values()), ids=list(SIMULATE_PINS))
     def test_output_bytes_pinned(self, capsys, tmp_path, argv, digest):
@@ -760,10 +766,13 @@ class TestSimulate:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_pins_hold_under_one_ulp_libm(self, capsys, tmp_path, monkeypatch):
-        # libm need not round correctly: each call of the math functions the
-        # draws use is nudged one ulp, up or down at random, and no pin moves
+        # libm need not round correctly: each call of the math functions that
+        # the draws, special and glm use is nudged one ulp, up or down at random,
+        # and no pin moves. sqrt and fsum are correctly rounded everywhere, and
+        # NormalDist.inv_cdf (Hill's start in special) runs in C, out of reach.
         direction = random.Random(9)
-        calls = dict.fromkeys(["log", "exp", "log1p", "pow"], 0)
+        calls = dict.fromkeys(["log", "exp", "log1p", "pow", "lgamma", "expm1", "tan",
+                               "hypot"], 0)
 
         def nudged(name):
             exact = getattr(math, name)
@@ -775,13 +784,34 @@ class TestSimulate:
 
             return call
 
+        def digest(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
         for name in calls:  # before the samplers are built, as they bind these
             monkeypatch.setattr(math, name, nudged(name))
-        out = tmp_path / "cases.csv"
-        for argv, digest in SIMULATE_PINS.values():
-            assert run(capsys, "simulate", "--output", str(out), *argv)[0] == 0
-            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
-        assert all(calls.values()), calls  # the tail's log1p included
+        special._solve.cache_clear()  # a cached quantile would skip the nudge
+        try:
+            out, points, model = tmp_path / "out", tmp_path / "points.csv", tmp_path / "model.json"
+            for name, (argv, want) in SIMULATE_PINS.items():
+                assert run(capsys, "simulate", "--output", str(tmp_path / name), *argv)[0] == 0
+                assert digest(tmp_path / name) == want, argv
+            assert run(capsys, "fit", "--input", str(tmp_path / "default"),
+                       "--output", str(model))[0] == 0
+            assert json.loads(model.read_text()) == GOLDEN_MODEL
+            for flags, want in ANALYZE_PINS.values():
+                assert run(capsys, "analyze", "--input", str(bundled_demo_corpus_path()),
+                           "--output", str(out), *flags)[0] == 0
+                assert digest(out) == want, flags
+            write_calibration_input(src := tmp_path / "cal.csv")
+            for flags, code, summary_want, points_want in CALIBRATE_PINS.values():
+                assert run(capsys, "calibrate", "--input", str(src), "--summary", str(out),
+                           "--points", str(points), *flags)[0] == code
+                assert (digest(out), digest(points)) == (summary_want, points_want), flags
+            ci, _, _ = reconstruct_ci(0.9, 10, None, paper_model())
+            assert (ci.lower.hex(), ci.upper.hex()) == CI_PIN
+        finally:
+            special._solve.cache_clear()  # nor may a nudged one outlive the test
+        assert all(calls.values()), calls  # the tail's log1p and the Cauchy tan included
 
     def test_bad_family(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--output", str(tmp_path / "x.csv"),

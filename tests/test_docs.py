@@ -1,4 +1,5 @@
-"""README drift: the CLI table, the report field lists, the schema number, the Quickstart."""
+"""Docs drift: README's CLI table, report field lists, schema number and Quickstart, and
+the simulate pins that CI checks without numpy."""
 
 import argparse
 import re
@@ -7,8 +8,10 @@ from pathlib import Path
 from segci import cli
 from segci.calibration import CalibrationSummary
 from segci.descriptive import SampleSummary
+from test_cli import SIMULATE_PINS
 
-README_TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README_TEXT = (ROOT / "README.md").read_text()
 README = " ".join(README_TEXT.split("\n"))
 
 
@@ -75,3 +78,9 @@ def test_library_quickstart_numbers(capsys):
         assert [f"{v:.{len(d.split('.')[1])}f}" for v, d in zip(values, shown)] == shown, line
         claims += len(shown)
     assert claims == 3
+
+
+def test_workflow_checks_every_simulate_pin():
+    # the no-numpy job runs simulate on Python 3.10, where the suite cannot run
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert [name for name, (_, digest) in SIMULATE_PINS.items() if digest not in workflow] == []

@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import segci
-from segci import CaseResult, SimSpec, generate_results, make_training_pairs
+import segci.io as sio
+from segci import CaseResult, SimSpec, cli, generate_results, make_training_pairs
 from segci.io import (
     PER_CASE_HEADER,
     DataFormatError,
@@ -238,7 +239,8 @@ def test_blank_rows_skipped(tmp_path):
     assert len(read_pairs_csv(path)) == 1
 
 
-ODD_IDS = ["a,b", 'say "hi"', '"', "two\nlines", "cr\rid", "", " padded ", "tab\tid", "caf\u00e9"]
+ODD_IDS = ["a,b", 'say "hi"', '"', "two\nlines", "cr\rid", "", " padded ", "tab\tid", "caf\u00e9",
+           "nul\0id"]
 
 
 def test_per_case_writer_matches_csv_writer(tmp_path):
@@ -263,6 +265,19 @@ def test_per_case_quoted_ids_round_trip(tmp_path):
     path = tmp_path / "cases.csv"
     write_per_case_csv(rows, path)
     assert list(iter_per_case_csv(path)) == rows
+
+
+@given(st.text())
+def test_field_quotes_as_csv_writer(text):
+    # RFC 4180's rule, as csv.writer applies it with a "\r\n" terminator; the
+    # second field keeps an empty id unquoted, as inside a row
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\r\n").writerow([text, ""])
+    assert sio._field(text) == line.getvalue()[:-3]
+
+
+def test_numeric_fields_and_flags_share_one_parser():
+    assert sio._INT is cli._INT is segci._INT and sio._FLOAT is cli._FLOAT is segci._FLOAT
 
 
 def test_per_case_carriage_return_id_round_trips(tmp_path):
