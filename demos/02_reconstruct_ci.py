@@ -9,14 +9,14 @@ gives a non-parametric cross-check that lands very close.
 """
 
 from segci import (
+    BetaFamily,
     bootstrap_ci,
     compare_cis,
     paper_model,
     parametric_ci,
     reconstruct_ci,
-    sample_beta,
 )
-from segci.rng import substream
+from segci.rng import word_streams
 
 model = paper_model()
 
@@ -36,7 +36,8 @@ ci_reported, _, _ = reconstruct_ci(0.90, 100, 0.06, model)
 print(f"\nwith reported SD 0.06: [{ci_reported.lower:.5f}, {ci_reported.upper:.5f}]")
 
 # With access to per-case scores, compare against the bootstrap.
-cases = [sample_beta(8.0, 2.0, substream(2024, 60, i)) for i in range(100)]
+draw, words = BetaFamily(8.0, 2.0).sampler(), word_streams(2024, 60)
+cases = [draw(words(i)) for i in range(100)]
 from segci import summarize
 
 stats = summarize(cases)

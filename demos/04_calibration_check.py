@@ -9,21 +9,21 @@ estimated from simulated per-case scores centered on the model curve,
 so the differences reflect estimation noise alone.
 """
 
+import random
 import tempfile
 from pathlib import Path
 
 from segci import calibrate, paper_model, predict_sd_pct, summarize, write_calibration_csv
-from segci.rng import substream
 
 model = paper_model()
 
+rng = random.Random(31415)
 results = []
 for i in range(60):
     mean = 0.60 + 0.006 * i
     n = (8, 15, 30, 80, 200, 600)[i % 6]
     true_sd = predict_sd_pct(model, mean * 100.0) / 100.0
-    rng = substream(31415, 62, i)
-    cases = mean + true_sd * rng.standard_normal(n)
+    cases = [rng.gauss(mean, true_sd) for _ in range(n)]
     observed_sd = summarize(cases).sd
     results.append((f"task{i % 12:02d}", f"method{i // 12:02d}", n, mean, observed_sd))
 

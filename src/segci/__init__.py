@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
     "simulate": (
         "BetaFamily", "CaseResult", "ConstantFamily", "PairsResult", "SimSpec", "SimulatedRows",
-        "generate_results", "make_training_pairs", "parse_family", "sample_beta",
+        "generate_results", "make_training_pairs", "parse_family",
     ),
     "special": ("t_cdf", "t_quantile"),
 }

@@ -70,11 +70,16 @@ def _check_real(**values) -> None:
 
 
 def approximate_sd(mean_dsc: float, model: "GlmFit | Sequence[float]") -> float:
-    """Model SD (fraction scale) at a mean DSC in [0, 1]; the model works on the percent scale."""
+    """Model SD (fraction scale) at a mean DSC in [0, 1]; the model works on the percent scale.
+
+    At a mean of exactly 0 or 1 every case scored the mean, so the SD is 0: the limit of
+    the cap sqrt(x * (100 - x)) that :func:`~segci.glm.predict_sd_pct` drops at the ends.
+    """
     _check_real(mean_dsc=mean_dsc)
     if not 0.0 <= mean_dsc <= 1.0:
         raise ValueError(f"mean_dsc must lie in [0, 1], got {mean_dsc}")
-    return predict_sd_pct(model, mean_dsc * 100.0) / 100.0
+    sd = predict_sd_pct(model, mean_dsc * 100.0) / 100.0  # checks the model at the ends too
+    return sd if 0.0 < mean_dsc < 1.0 else 0.0
 
 
 def parametric_ci(

@@ -14,16 +14,13 @@ import math
 from array import array
 from collections import defaultdict
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _check_seed, _checked, _mean_sd
 
 # segci.rng loads inside the functions that draw, so `segci fit` aggregates
 # per-case files without it, and segci.glm inside make_training_pairs, so
-# `segci simulate` runs without it. numpy is only a type here: sample_beta
-# reads the words of a numpy generator.
-if TYPE_CHECKING:
-    import numpy as np
+# `segci simulate` runs without it.
 
 __all__ = [
     "BetaFamily",
@@ -32,27 +29,10 @@ __all__ = [
     "CaseResult",
     "SimulatedRows",
     "PairsResult",
-    "sample_beta",
     "generate_results",
     "make_training_pairs",
     "parse_family",
 ]
-
-
-def sample_beta(a: float, b: float, rng: np.random.Generator) -> float:
-    """One Beta(a, b) draw from ``rng``, as the ratio X / (X + Y) of two Gamma variates.
-
-    The draw reads ``rng``'s raw 64-bit words, as :class:`SimulatedRows`
-    reads its own, and uses them as numpy's ``standard_normal`` and
-    ``random`` would. A generator on MT19937, whose raw words are 32-bit,
-    is refused.
-    """
-    from numpy.random import MT19937  # loaded already, as rng is a numpy generator
-
-    if isinstance(rng.bit_generator, MT19937):
-        raise ValueError("sample_beta reads 64-bit raw words, and MT19937's are 32-bit; "
-                         "use a Philox, PCG64 or SFC64 generator")
-    return BetaFamily(a, b).sampler()(rng.bit_generator.random_raw)
 
 
 @_checked

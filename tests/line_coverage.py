@@ -30,7 +30,6 @@ _BETA_CF = "not reached by the suite; _beta_cf keeps it until ROADMAP item 2 pic
 EXEMPT = {
     ("io.py", "from .corpus import PaperRecord"): _TYPE_CHECKING,
     ("io.py", "from .simulate import CaseResult"): _TYPE_CHECKING,
-    ("simulate.py", "import numpy as np"): _TYPE_CHECKING,
     ("cli.py", "sys.exit(main())"): "runs only as `python -m segci.cli`, in a child process",
     ("special.py", "d = tiny"): _BETA_CF,
     ("special.py", "c = tiny"): _BETA_CF,

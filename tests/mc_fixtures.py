@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from segci import BetaFamily
 from segci.rng import gamma_sampler, substream, word_streams
 
 # Generating coefficients and noise shape of the Monte-Carlo fit fixture.
@@ -57,8 +58,5 @@ def newton_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def beta_sample(n: int, a: float, b: float, seed: int) -> np.ndarray:
     """n Beta(a, b) draws, one counter-derived stream per index."""
-    from segci import sample_beta
-
-    return np.array(
-        [sample_beta(a, b, substream(seed, _DOMAIN_BETA_SAMPLE, i)) for i in range(n)]
-    )
+    draw, words = BetaFamily(a, b).sampler(), word_streams(seed, _DOMAIN_BETA_SAMPLE)
+    return np.array([draw(words(i)) for i in range(n)])

@@ -306,6 +306,16 @@ class TestCi:
         assert doc["lower"] == doc["upper"] == 0.9
         assert doc["sd_source"] == "reported"
 
+    @pytest.mark.parametrize("mean", ["0.0", "1.0"])
+    def test_model_sd_at_the_ends(self, capsys, mean):
+        # the model SD read 0.076217 at 0.0 and 0.036364 at 1.0, uncapped
+        code, out, _ = run(capsys, "ci", "--mean", mean, "--n", "10")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["sd_used"] == 0.0
+        assert doc["lower"] == doc["upper"] == float(mean)
+        assert doc["sd_source"] == "model"
+
     def test_force_model_sd(self, capsys):
         code, out, _ = run(
             capsys, "ci", "--mean", "0.90", "--n", "100", "--sd", "0.2", "--force-model-sd"
@@ -625,6 +635,28 @@ class TestAnalyze:
                          "--output", str(out), *flags)
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_findings_across_the_rounding_of_b2(self, capsys, tmp_path):
+        # the bundled b2 = -0.0008 has one significant digit; at the ends of its
+        # rounding interval, with b0 and b1 as bundled, the overlap spans 0.545-0.727
+        bundled = (bundled_demo_corpus_path().parent / "paper_model.json").read_text()
+        assert '"coefficients": [2.0310, 0.0726, -0.0008]' in bundled
+        findings = {}
+        for b2 in ("-0.00085", "-0.0008", "-0.00075"):
+            model, out = tmp_path / f"model{b2}.json", tmp_path / f"report{b2}.json"
+            model.write_text(bundled.replace("-0.0008]", f"{b2}]"))
+            assert run(capsys, "analyze", "--input", str(bundled_demo_corpus_path()),
+                       "--output", str(out), "--model", str(model))[0] == 0
+            doc = json.loads(out.read_text())
+            findings[b2] = (doc["width"]["median"], doc["delta"]["median"],
+                            doc["overlap_fraction"])
+            if b2 == "-0.0008":
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == ANALYZE_PINS["default"][1]
+        assert findings == {
+            "-0.00085": (0.023207, 0.01063, 0.545455),
+            "-0.0008": (0.03054, 0.01063, 0.649351),
+            "-0.00075": (0.041277, 0.01063, 0.727273),
+        }
 
     def test_unclamped_overflow_is_error(self, capsys, tmp_path):
         src, out = tmp_path / "corpus.csv", tmp_path / "report.json"

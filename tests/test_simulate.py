@@ -17,12 +17,11 @@ from segci import (
     generate_results,
     make_training_pairs,
     parse_family,
-    sample_beta,
     summarize,
 )
 from segci.cli import bundled_demo_corpus_path
 from segci.io import read_corpus_csv
-from segci.rng import DOMAIN_CASES, gamma_sampler, substream, substreams, word_streams
+from segci.rng import DOMAIN_CASES, gamma_sampler, substreams, word_streams
 from segci.simulate import _BATCH
 from test_imports import run_fresh
 
@@ -87,31 +86,39 @@ def summarize_pairs(rows):
     return pairs, dropped, skipped
 
 
+def numpy_draws(family, seed, n):
+    """n draws of ``family``'s sampler, one on the raw words of each numpy stream (seed, 5, i)."""
+    draw, streams = family.sampler(), substreams(seed, 5)
+    return [draw(streams(i).bit_generator.random_raw) for i in range(n)]
+
+
 class TestSampleBeta:
+    """Beta draws through BetaFamily(a, b).sampler(), on segci's words or a numpy generator's."""
+
     def test_uniform_mean(self):
-        streams = substreams(17, 5)
-        draws = [sample_beta(1.0, 1.0, streams(i)) for i in range(100_000)]
+        draws = numpy_draws(BetaFamily(1.0, 1.0), 17, 100_000)
         assert np.mean(draws) == pytest.approx(0.5, abs=0.005)
 
     def test_beta_8_2_mean(self):
-        streams = substreams(18, 5)
-        draws = [sample_beta(8.0, 2.0, streams(i)) for i in range(100_000)]
+        draws = numpy_draws(BetaFamily(8.0, 2.0), 18, 100_000)
         assert np.mean(draws) == pytest.approx(0.8, abs=0.005)
 
     def test_deterministic_stream(self):
-        a = [sample_beta(2.0, 3.0, substream(5, 5, i)) for i in range(50)]
-        b = [sample_beta(2.0, 3.0, substream(5, 5, i)) for i in range(50)]
+        words = word_streams(5, 5)
+        a = [BetaFamily(2.0, 3.0).sampler()(words(i)) for i in range(50)]
+        b = [BetaFamily(2.0, 3.0).sampler()(words(i)) for i in range(50)]
         assert a == b
+        # segci's words and numpy's words of the same streams give the same draws
+        assert a == numpy_draws(BetaFamily(2.0, 3.0), 5, 50)
 
     def test_open_unit_interval(self):
+        draw, words = BetaFamily(0.5, 0.5).sampler(), word_streams(3, 5)
         for i in range(1000):
-            v = sample_beta(0.5, 0.5, substream(3, 5, i))
-            assert 0.0 < v < 1.0
+            assert 0.0 < draw(words(i)) < 1.0
 
     def test_domain_error(self):
-        rng = substream(1, 5, 0)
         with pytest.raises(ValueError):
-            sample_beta(0.0, 1.0, rng)
+            BetaFamily(0.0, 1.0)
         with pytest.raises(ValueError):
             gamma_sampler(-2.0)
 
@@ -119,40 +126,36 @@ class TestSampleBeta:
     def test_draws_are_numpy_draws(self, bit_generator):
         # the draws on a generator's raw words are those of its standard_normal and random
         family = BetaFamily(0.7, 3.0)
+        draw = family.sampler()
         rng, reference = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
         for _ in range(200):
-            assert sample_beta(*family, rng).hex() == reference_beta(family, reference).hex()
-
-    def test_32_bit_words_refused(self):
-        # MT19937's 32-bit raw words would read as tiny normals and uniforms
-        with pytest.raises(ValueError, match="MT19937's are 32-bit"):
-            sample_beta(2.0, 3.0, np.random.Generator(np.random.MT19937(1)))
+            assert draw(rng.bit_generator.random_raw).hex() == reference_beta(family, reference).hex()
 
     def test_underflow_is_arithmetic_error(self):
         # at a = b = 0.005 both Gamma variates of stream 327 round to 0
+        draw, words = BetaFamily(0.005, 0.005).sampler(), word_streams(1, 5)
         with pytest.raises(ArithmeticError, match=r"^beta:0\.005,0\.005 cannot be drawn: "
                            "both Gamma variates underflowed to 0$"):
-            sample_beta(0.005, 0.005, substream(1, 5, 327))
-        assert 0.0 <= sample_beta(0.005, 0.005, substream(1, 5, 326)) <= 1.0
+            draw(words(327))
+        assert 0.0 <= draw(words(326)) <= 1.0
 
     @pytest.mark.parametrize("a, b", [(1e308, 1e308), (9e307, 9e307), (1e308, 1e307)])
     def test_shapes_whose_variates_overflow_their_sum(self, a, b):
         # Gamma(1e308) variates lie near 1e308, and X + Y overflows to inf:
         # X / (X + Y) read 0 where Beta(a, b) has mean a / (a + b), which overflows too
         mean = 1 / (1 + b / a)
+        draw, words = BetaFamily(a, b).sampler(), word_streams(2, 5)
         for i in range(20):
-            assert sample_beta(a, b, substream(2, 5, i)) == pytest.approx(mean, rel=1e-12)
+            assert draw(words(i)) == pytest.approx(mean, rel=1e-12)
 
     def test_distribution_matches_reference(self):
         # distribution-level check against scipy's Beta CDF
-        streams = substreams(23, 5)
-        draws = [sample_beta(3.0, 7.0, streams(i)) for i in range(20_000)]
+        draws = numpy_draws(BetaFamily(3.0, 7.0), 23, 20_000)
         result = sp_stats.kstest(draws, sp_stats.beta(3.0, 7.0).cdf)
         assert result.pvalue > 0.01
 
     def test_small_shape_boost_path(self):
-        streams = substreams(29, 5)
-        draws = [sample_beta(0.3, 0.4, streams(i)) for i in range(20_000)]
+        draws = numpy_draws(BetaFamily(0.3, 0.4), 29, 20_000)
         expected = 0.3 / 0.7
         assert np.mean(draws) == pytest.approx(expected, abs=0.01)
 
@@ -404,16 +407,16 @@ class TestParseFamily:
 
 @pytest.mark.parametrize("call", [
     "gamma_sampler(math.inf)",
-    "sample_beta(math.inf, 2.0, substream(1, 5, 0))",
-    "sample_beta(2.0, math.inf, substream(1, 5, 0))",
+    "BetaFamily(math.inf, 2.0)",
+    "BetaFamily(2.0, math.inf)",
 ], ids=["gamma", "beta_a", "beta_b"])
 def test_infinite_shape_refused(call):
     # a fresh process with a timeout: an accepted infinite shape used to
     # loop forever in the gamma sampler
     code = (
         "import math\n"
-        "from segci import sample_beta\n"
-        "from segci.rng import gamma_sampler, substream\n"
+        "from segci import BetaFamily\n"
+        "from segci.rng import gamma_sampler\n"
         f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n"
     )
     proc = run_fresh("-c", code, timeout=30)
