@@ -180,24 +180,120 @@ def write_per_case_csv(rows: Iterable[CaseResult], path: "str | Path") -> None:
     """Write per-case rows, each as it is iterated; each line ends with ``\\n``.
 
     Each id is written as :func:`_field` quotes it: task and method ids once each,
-    and a case id only if it needs quotes, so that every row is one f-string. If a
-    row fails to draw or write, ``path`` is removed if it is a regular file:
-    opening it truncated any old content.
+    and a case id only if it needs quotes, so that every row is one f-string. A
+    :class:`~segci.simulate.SimulatedRows` is drawn in the parts of :func:`_parts`:
+    this process writes the first, and :func:`_forked` workers draw the others into
+    temporary files, which are appended in order, so the bytes are the same. Any
+    other iterable is written by this process alone. If a row fails to draw or
+    write, that row's error is raised, and ``path`` is removed if it is a regular
+    file: opening it truncated any old content.
     """
     group_field = functools.cache(_field)  # as many entries as tasks and methods
+
+    def write(fh, rows) -> None:
+        fh.writelines(
+            f"{group_field(task_id)},{group_field(method_id)},"
+            f"{_field(case_id) if _needs_quotes(case_id) else case_id},{dsc:.6f}\n"
+            for task_id, method_id, case_id, dsc in rows
+        )
+
+    first, *rest = _parts(rows)
     fh = open(path, "w", encoding="utf-8", newline="")
     try:
-        with fh:
+        with fh, _forked(rest, write) as appended:
             fh.write(",".join(PER_CASE_HEADER) + "\n")
-            fh.writelines(
-                f"{group_field(task_id)},{group_field(method_id)},"
-                f"{_field(case_id) if _needs_quotes(case_id) else case_id},{dsc:.6f}\n"
-                for task_id, method_id, case_id, dsc in rows
-            )
+            write(fh, first)
+            fh.flush()
+            fh.buffer.writelines(appended)
     except BaseException:
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.remove(path)
         raise
+
+
+def _usable_cpus() -> int:
+    """The CPUs that this process may run on: its affinity mask's, where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _parts(rows: Iterable[CaseResult]) -> list:
+    """``rows`` in the contiguous parts that processes draw, one a usable CPU.
+
+    Only a :class:`~segci.simulate.SimulatedRows` is split (see its ``_split``),
+    and only where ``os.fork`` exists and no other Python thread runs: a forked
+    child holds only the thread that forked it, and no lock that another held.
+    """
+    from .simulate import SimulatedRows
+
+    if not isinstance(rows, SimulatedRows) or not hasattr(os, "fork"):
+        return [rows]
+    import threading
+
+    return rows._split(_usable_cpus() if threading.active_count() == 1 else 1)
+
+
+@contextlib.contextmanager
+def _forked(parts: list, write) -> Iterator[Iterator[bytes]]:
+    """A worker forked for each of ``parts``, to ``write`` it into an unlinked temporary file.
+
+    Yields the bytes of the files in order: each waits for its worker, and raises
+    what the worker raised if it failed. On leaving, every worker still running is
+    killed, and every worker is reaped, on success, on error and on an interrupt.
+    """
+    files, running = [], []
+
+    def appended():
+        for pid, file in zip(list(running), files):
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            file.seek(0)
+            if status == 1:
+                import pickle
+
+                raise pickle.load(file)
+            if status:
+                raise ChildProcessError(f"a simulate worker process ended with status {status}")
+            yield from iter(functools.partial(file.read, 1 << 16), b"")
+
+    try:
+        for part in parts:
+            import tempfile  # here, so that a run in one process does not load it
+
+            files.append(tempfile.TemporaryFile())
+            running.append(os.fork())  # at once, so that no interrupt can lose a worker's pid
+            if running[-1] == 0:  # in the worker
+                _work(files[-1], write, part)
+        yield appended()
+    finally:
+        for pid in running:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for file in files:
+            file.close()
+
+
+def _work(file, write, part) -> None:
+    """A worker's life: ``write`` ``part`` into ``file`` and exit 0, or exit 1 with its error.
+
+    The error is pickled at the start of ``file``, over the rows: ``pickle.load``
+    stops at its end. Exit status 2 says that even the error could not be pickled.
+    The worker leaves only through ``os._exit``, so that no ``atexit`` handler and
+    no caller's ``finally`` runs in it, and no buffer that it inherited is flushed.
+    """
+    exit_status = 2
+    try:
+        with open(file.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
+            write(out, part)
+        exit_status = 0
+    except BaseException as exc:
+        import pickle
+
+        os.pwrite(file.fileno(), pickle.dumps(exc), 0)
+        exit_status = 1
+    finally:
+        os._exit(exit_status)
 
 
 def read_pairs_csv(path: "str | Path") -> list[TrainingPair]:

@@ -14,6 +14,7 @@ import math
 from array import array
 from collections import defaultdict
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _check_seed, _checked, _mean_sd
@@ -158,15 +159,30 @@ class SimulatedRows:
     size while holding one batch of cases at a time.
     """
 
-    __slots__ = ("spec",)
+    __slots__ = ("spec", "_rows")
 
     def __init__(self, spec: SimSpec):
         self.spec = spec
+        groups = spec.n_tasks * spec.methods_per_task - len(set(spec.exclude))
+        self._rows = range(groups * spec.cases_per_task)  # the row indices that iterating draws
 
     def __len__(self) -> int:
-        spec = self.spec
-        groups = spec.n_tasks * spec.methods_per_task - len(set(spec.exclude))
-        return groups * spec.cases_per_task
+        return len(self._rows)
+
+    def _split(self, k: int) -> list[SimulatedRows]:
+        """The rows in ``k`` contiguous parts of near-equal length, in order.
+
+        There are no more parts than whole batches, and at least one. A part
+        may begin and end inside a group, even inside a batch: each case draws
+        from its own stream, so the parts give the same rows, bit for bit.
+        """
+        rows, parts = self._rows, []
+        k = max(1, min(k, len(rows) // _BATCH))
+        for i in range(k):
+            part = object.__new__(SimulatedRows)
+            part.spec, part._rows = self.spec, rows[len(rows) * i // k:len(rows) * (i + 1) // k]
+            parts.append(part)
+        return parts
 
     def __iter__(self) -> Iterator[CaseResult]:
         """Case c of method m on task t draws ``spec.family.sampler()`` from stream (t, m, c).
@@ -186,29 +202,31 @@ class SimulatedRows:
         keys = _round_keys(spec.seed, DOMAIN_CASES)
         draw = spec.family.sampler()
         n_cases = spec.cases_per_task
+        start, stop = self._rows.start, self._rows.stop
+        groups = ((t, m) for t in range(spec.n_tasks) for m in range(spec.methods_per_task)
+                  if (t, m) not in excluded)
         new_row = tuple.__new__  # CaseResult's own constructor, without its Python-level wrapper
-        for t in range(spec.n_tasks):
-            task_id = f"task{t + 1:02d}"
-            for m in range(spec.methods_per_task):
-                if (t, m) in excluded:
-                    continue
-                method_id = f"method{m + 1:02d}"
-                for start in range(0, n_cases, _BATCH):
-                    n = min(_BATCH, n_cases - start)
-                    words, dscs = [()] * n, [0.0] * n
-                    pending, block = range(n), 1
-                    while pending:
-                        more = _blocks(keys, t, m, [start + i for i in pending], block)
-                        for i, next_words in zip(pending, more):
-                            words[i] += next_words
-                        todo, pending, block = pending, [], block + 1
-                        for i in todo:
-                            try:
-                                dscs[i] = draw(iter(words[i]).__next__)
-                            except StopIteration:  # drawn again with its next block
-                                pending.append(i)
-                    for c, dsc in enumerate(dscs, start):
-                        yield new_row(CaseResult, (task_id, method_id, f"case{c + 1:05d}", dsc))
+        # row: the index of the group's first row
+        for row, (t, m) in zip(range(start - start % n_cases, stop, n_cases),
+                               islice(groups, start // n_cases, None)):
+            task_id, method_id = f"task{t + 1:02d}", f"method{m + 1:02d}"
+            end = min(stop - row, n_cases)
+            for first in range(max(start - row, 0), end, _BATCH):
+                n = min(_BATCH, end - first)
+                words, dscs = [()] * n, [0.0] * n
+                pending, block = range(n), 1
+                while pending:
+                    more = _blocks(keys, t, m, [first + i for i in pending], block)
+                    for i, next_words in zip(pending, more):
+                        words[i] += next_words
+                    todo, pending, block = pending, [], block + 1
+                    for i in todo:
+                        try:
+                            dscs[i] = draw(iter(words[i]).__next__)
+                        except StopIteration:  # drawn again with its next block
+                            pending.append(i)
+                for c, dsc in enumerate(dscs, first):
+                    yield new_row(CaseResult, (task_id, method_id, f"case{c + 1:05d}", dsc))
 
 
 def generate_results(spec: SimSpec) -> list[CaseResult]:

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 _TYPE_CHECKING = "imported for type checkers only"
+_WORKER = "runs only in a worker that io._forked forks, and child processes are not traced"
 _BETA_CF = "not reached by the suite; _beta_cf keeps it until ROADMAP item 2 picks its switch point"
 
 # (file, first line of a statement, stripped) -> why the suite does not run that statement
@@ -31,6 +32,17 @@ EXEMPT = {
     ("io.py", "from .corpus import PaperRecord"): _TYPE_CHECKING,
     ("io.py", "from .simulate import CaseResult"): _TYPE_CHECKING,
     ("cli.py", "sys.exit(main())"): "runs only as `python -m segci.cli`, in a child process",
+    ("io.py", "_work(files[-1], write, part)"): _WORKER,
+    ("io.py", "exit_status = 2"): _WORKER,
+    ("io.py", "try:"): _WORKER,  # _work's; every other try in io.py runs
+    ("io.py", 'with open(file.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:'):
+        _WORKER,
+    ("io.py", "write(out, part)"): _WORKER,
+    ("io.py", "exit_status = 0"): _WORKER,
+    ("io.py", "import pickle"): _WORKER,  # _work's; _forked's runs
+    ("io.py", "os.pwrite(file.fileno(), pickle.dumps(exc), 0)"): _WORKER,
+    ("io.py", "exit_status = 1"): _WORKER,
+    ("io.py", "os._exit(exit_status)"): _WORKER,
     ("special.py", "d = tiny"): _BETA_CF,
     ("special.py", "c = tiny"): _BETA_CF,
     ("special.py", "raise ArithmeticError("): _BETA_CF,

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from segci import cli, paper_model, reconstruct_ci, special
+from segci import io as sio
 from segci.cli import _dump_json, bundled_demo_corpus_path, main
 from test_imports import run_fresh
 
@@ -821,6 +822,10 @@ class TestSimulate:
 
         for name in calls:  # before the samplers are built, as they bind these
             monkeypatch.setattr(math, name, nudged(name))
+        # one process draws every row: a forked worker would take its nudges from
+        # its own copy of `direction`, so the directions that reach reconstruct_ci
+        # would depend on the number of CPUs
+        monkeypatch.setattr(sio, "_usable_cpus", lambda: 1)
         special._solve.cache_clear()  # a cached quantile would skip the nudge
         try:
             out, points, model = tmp_path / "out", tmp_path / "points.csv", tmp_path / "model.json"
