@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 from importlib import resources
 from pathlib import Path
@@ -283,8 +285,21 @@ def _cmd_simulate(args) -> int:
     )
     rows = sim.SimulatedRows(spec)
     sio.write_per_case_csv(rows, args.output)
+    if _same_regular_file(sys.stdout, args.output):
+        # `--output /dev/stdout > FILE`: the rows went through another file
+        # description, and stdout's offset would write the line over them
+        sys.stdout.seek(0, os.SEEK_END)
     print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK
+
+
+def _same_regular_file(stream, path: str) -> bool:
+    """Whether ``stream`` writes to the regular file at ``path``."""
+    try:
+        st = os.fstat(stream.fileno())
+    except (OSError, ValueError):  # no file descriptor, as under a test's capture
+        return False
+    return stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.stat(path))
 
 
 _COMMANDS = {

@@ -13,6 +13,7 @@ operates on per-case values and serves as the non-parametric cross-check.
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral, Real
 from typing import NamedTuple, Sequence
 
@@ -215,19 +216,25 @@ def _resample_means(arr, n_resamples: int, seed: int):
     Resample r draws ``substream(seed, DOMAIN_BOOTSTRAP, r).integers(0, n,
     size=n)`` and its mean is ``math.fsum(arr[idx]) / n``, bit for bit.
     The indices come from each stream's raw 64-bit words through Lemire's
-    map, a block at a time, bit-identical to ``Generator.integers``; a
-    resample with a draw that map rejects is redrawn with ``integers``
-    (see :func:`_resample_indices`).
+    map, a block at a time (see :func:`_resample_indices`).
     The sum is computed exactly over blocks of resamples: every value is
     an integer times 2^-k, split into signed limbs of ``bits`` bits held
-    as float64 columns. A column summed over n draws stays below
-    n * 2^bits < 2^52 in magnitude, so numpy adds it exactly in any
-    order, and fsum of the scaled limb sums rounds the exact total once.
+    as float64. A limb summed over n draws stays below n * 2^bits < 2^52
+    in magnitude, so numpy adds it exactly in any order. The limbs are
+    packed in pairs as the real and imaginary parts of complex128
+    columns, so one gather and one row sum serve two limbs. Each scaled
+    limb sum is exact (ldexp of an integer below 2^52 rounds nothing), so
+    fsum of them rounds the exact total once. Two limbs hold every sample
+    in [2^-29, 1] at n = 2000, DSC values among them; then one IEEE
+    addition of the two scaled sums rounds the same exact total once, a
+    block at a time. That sum cannot overflow: as k >= 0, the low term is
+    below 2^52 and the high one below n * 2^(2 bits) < 2^102. With more
+    limbs, ldexp or fsum may.
     Raises OverflowError when a resample sum leaves the float range.
     """
     import numpy as np
 
-    from .rng import DOMAIN_BOOTSTRAP, substreams
+    from .rng import DOMAIN_BOOTSTRAP, index_words
 
     n = arr.size
     # v = num / 2^d exactly; k is the largest d, so every v * 2^k is an integer
@@ -236,47 +243,64 @@ def _resample_means(arr, n_resamples: int, seed: int):
     scaled = [num << (k + 1 - den.bit_length()) for num, den in ratios]
     bits = 52 - n.bit_length()
     width = max(abs(i) for i in scaled).bit_length()
-    shifts = range(0, max(1, -(-width // bits)) * bits, bits)
+    # an even number of limbs, the last one zero when the sample needs an odd number
+    shifts = range(0, max(2, -(-width // (2 * bits)) * 2) * bits, bits)
     mask = (1 << bits) - 1
-    columns = np.array(
+    limbs = np.array(
         [[(abs(i) >> shift & mask) * (1 if i >= 0 else -1) for i in scaled] for shift in shifts],
         dtype=float,
     )
+    pairs = np.empty((len(shifts) // 2, n), dtype=complex)
+    pairs.real, pairs.imag = limbs[0::2], limbs[1::2]
     exponents = [shift - k for shift in shifts]
 
     block = max(1, _BLOCK_ELEMENTS // n)
+    # half a block of rows at a time keeps the complex gather buffer at 256 KB
+    half = (block + 1) // 2
     idx = np.empty((block, n), dtype=np.int64)
     raw = np.empty((block, (n + 1) // 2), dtype=np.uint64)
-    drawn = np.empty((block, n))
-    sums = np.empty((block, len(shifts)))
+    drawn = np.empty((half, n), dtype=complex)
+    sums = np.empty((block, len(pairs)), dtype=complex)
+    limb_sums = sums.view(float)  # limb i of row j at [j, i]
     means = np.empty(n_resamples)
-    streams = substreams(seed, DOMAIN_BOOTSTRAP)
+    words = index_words(seed, DOMAIN_BOOTSTRAP)
     for start in range(0, n_resamples, block):
         rows = min(block, n_resamples - start)
-        _resample_indices(streams, start, idx[:rows], raw[:rows])
-        for limb, column in enumerate(columns):
-            # the draws are in range; "clip" skips the copy of out that "raise" makes
-            column.take(idx[:rows], out=drawn[:rows], mode="clip")
-            drawn[:rows].sum(axis=1, out=sums[:rows, limb])
-        means[start:start + rows] = [
-            math.fsum(map(math.ldexp, row, exponents)) for row in sums[:rows].tolist()
-        ]
+        _resample_indices(words, start, idx[:rows], raw[:rows])
+        for lo in range(0, rows, half):
+            hi = min(rows, lo + half)
+            for pair, column in enumerate(pairs):
+                # the draws are in range; "clip" skips the copy of out that "raise" makes
+                column.take(idx[lo:hi], out=drawn[:hi - lo], mode="clip")
+                drawn[:hi - lo].sum(axis=1, out=sums[lo:hi, pair])
+        out = means[start:start + rows]
+        if len(pairs) == 1:
+            np.ldexp(limb_sums[:rows, 0], exponents[0], out=out)
+            out += np.ldexp(limb_sums[:rows, 1], exponents[1])
+        else:
+            out[:] = [math.fsum(map(math.ldexp, row, exponents))
+                      for row in limb_sums[:rows].tolist()]
     means /= n
     return means
 
 
-def _resample_indices(streams, start: int, out, raw) -> int:
+# The low half of each 64-bit element of a uint64 array viewed as uint32
+_LOW_HALVES = slice(0, None, 2) if sys.byteorder == "little" else slice(1, None, 2)
+
+
+def _resample_indices(words, start: int, out, raw) -> int:
     """Fill row j of ``out`` with the draws of resample ``start + j``.
 
-    Row j equals ``streams(start + j).integers(0, n, size=n)`` bit for
-    bit, where n is the row length. Each resample's stream writes its
+    Row j equals ``substream(seed, domain, start + j).integers(0, n,
+    size=n)`` bit for bit, where ``words`` is ``index_words(seed,
+    domain)`` and n is the row length. Each resample's stream writes its
     (n + 1) // 2 raw 64-bit words into its row of ``raw``; every word
     splits into two 32-bit draws u, low half first, as numpy's
     ``next_uint32`` takes them, and Lemire's map (u * n) >> 32 turns the
     whole block into indices at once. numpy rejects a draw whose
     (u * n) mod 2^32 falls below 2^32 mod n and draws again, so a
-    resample with such a draw is redrawn whole with ``integers``.
-    Returns the number of resamples redrawn.
+    resample with such a draw is redrawn from its own words by
+    :func:`_lemire_draws`. Returns the number of resamples redrawn.
     """
     import numpy as np
 
@@ -284,18 +308,41 @@ def _resample_indices(streams, start: int, out, raw) -> int:
     if n > 2**32:
         # numpy maps a range this wide from 64-bit draws instead
         raise ValueError(f"resampling needs n <= 2**32, got {n}")
-    words = raw.shape[1]
+    count = raw.shape[1]
     for j in range(rows):
-        raw[j] = streams(start + j).bit_generator.random_raw(words)
+        raw[j] = words(start + j, count)
     halves = raw.astype("<u8", copy=False).view("<u4")[:, :n]
     scaled = out.view(np.uint64)
     np.multiply(halves, np.uint64(n), out=scaled)
-    # the low 32 bits of u * n against numpy's threshold, never hit for a power of two
-    rejected = np.flatnonzero((scaled.astype(np.uint32) < 2**32 % n).any(axis=1)).tolist()
+    # the low 32 bits of u * n against numpy's threshold, 0 for a power of two
+    lows = scaled.view(np.uint32)[:, _LOW_HALVES]
+    rejected = np.flatnonzero(lows.min(axis=1) < 2**32 % n).tolist()
     np.right_shift(scaled, 32, out=scaled)
     for j in rejected:
-        out[j] = streams(start + j).integers(0, n, size=n)
+        out[j] = _lemire_draws(words, start + j, n, n)
     return len(rejected)
+
+
+def _lemire_draws(words, index: int, n: int, size: int):
+    """``substream(seed, domain, index).integers(0, n, size=size)``, from the stream's words.
+
+    ``words`` is ``index_words(seed, domain)`` and 1 <= n <= 2**32. This
+    is numpy's bounded Lemire loop, vectorised: the 32-bit halves u of the
+    words, low half first, map to (u * n) >> 32, and a half whose
+    (u * n) mod 2^32 falls below 2^32 mod n is passed over. The draws are
+    the first ``size`` halves that pass; when too few do, the stream is
+    reset and drawn again with twice the words.
+    """
+    import numpy as np
+
+    count = size // 2 + 1  # at least one half more than size
+    while True:
+        halves = words(index, count).astype("<u8", copy=False).view("<u4")
+        scaled = halves * np.uint64(n)
+        kept = scaled[(scaled & 0xFFFFFFFF) >= 2**32 % n]
+        if kept.size >= size:
+            return (kept[:size] >> 32).astype(np.int64)
+        count *= 2
 
 
 def compare_cis(a: ConfidenceInterval, b: ConfidenceInterval) -> CiComparison:

@@ -6,7 +6,7 @@ indices (for example task/method/case). Streams are identical in any
 evaluation order. numpy's policy (NEP 19) fixes the Philox words, but
 not what Generator's methods, such as standard_normal, make of them.
 
-The bootstrap draws through numpy (:func:`substream`, :func:`substreams`).
+The bootstrap reads raw words through numpy (:func:`index_words`).
 The simulator reads the same words from a pure-Python Philox
 (:func:`word_streams`) and turns them into Gamma variates itself
 (:func:`gamma_sampler`), with a copy of numpy 2.4.6's ziggurat normal,
@@ -27,7 +27,7 @@ from importlib import resources
 from itertools import chain, count
 from typing import Callable, Sequence
 
-__all__ = ["substream", "substreams", "word_streams", "gamma_sampler"]
+__all__ = ["substream", "substreams", "index_words", "word_streams", "gamma_sampler"]
 
 _U64_MASK = (1 << 64) - 1
 
@@ -68,6 +68,29 @@ def substream(seed: int, domain: int, *path: int) -> "numpy.random.Generator":
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
+def _rewinder(seed: int, domain: int) -> tuple["numpy.random.Generator", dict, list[int]]:
+    """A generator of (seed, domain), the state that rewinds it, and that state's counter.
+
+    Setting ``rng.bit_generator.state = state`` starts the stream whose
+    256-bit counter ``counter`` holds (see :func:`_counter_words`), with
+    nothing buffered, as in a freshly built stream. The setter copies the
+    dict into the bit generator, so the counter may be rewritten in place
+    before the next reset.
+    """
+    rng = substream(seed, domain)
+    # Plain ints: the state setter reads them faster than numpy's uint64 arrays.
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": rng.bit_generator.state["state"]["key"].tolist()},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng, state, counter
+
+
 def substreams(seed: int, domain: int) -> Callable[..., "numpy.random.Generator"]:
     """Reusable form of :func:`substream` for many paths of one (seed, domain).
 
@@ -80,27 +103,36 @@ def substreams(seed: int, domain: int) -> Callable[..., "numpy.random.Generator"
     The returned generator is valid only until the next call: that call
     rewinds it to another stream.
     """
-    rng = substream(seed, domain)
+    rng, state, counter = _rewinder(seed, domain)
     bitgen = rng.bit_generator
-    # Plain ints: the state setter reads them faster than numpy's uint64 arrays.
-    inner = {"counter": [0, 0, 0, 0], "key": bitgen.state["state"]["key"].tolist()}
-    # Nothing buffered, as in a freshly built stream. Setting the state
-    # copies this dict into the bit generator, so it never changes here.
-    state = {
-        "bit_generator": "Philox",
-        "state": inner,
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
     def at(*path: int) -> "numpy.random.Generator":
-        inner["counter"] = _counter_words(path)
+        counter[:] = _counter_words(path)
         bitgen.state = state
         return rng
 
     return at
+
+
+def index_words(seed: int, domain: int) -> Callable[[int, int], "numpy.ndarray"]:
+    """The raw words of many one-index streams of (seed, domain).
+
+    ``words = index_words(seed, domain)``; ``words(i, size)`` returns the
+    first ``size`` words of the (seed, domain, i) stream, as
+    ``substream(seed, domain, i).bit_generator.random_raw(size)`` does.
+    A call only writes i into the counter's high word and resets the one
+    generator: about half the cost of a ``substreams`` reset.
+    """
+    rng, state, counter = _rewinder(seed, domain)
+    bitgen = rng.bit_generator
+    random_raw = bitgen.random_raw
+
+    def words(index: int, size: int) -> "numpy.ndarray":
+        counter[3] = index & _U64_MASK  # as _counter_words((index,)) places it
+        bitgen.state = state
+        return random_raw(size)
+
+    return words
 
 
 def _round_keys(seed: int, domain: int) -> tuple[tuple[int, int], ...]:

@@ -850,6 +850,38 @@ class TestSimulate:
             special._solve.cache_clear()  # nor may a nudged one outlive the test
         assert all(calls.values()), calls  # the tail's log1p and the Cauchy tan included
 
+    def test_ci_bytes_hold_under_one_ulp_libm(self, capsys, monkeypatch):
+        # the printed interval, 6 decimals, under the nudges of the test above,
+        # for 200 nudge seeds; the interval's last bit may move (README, "Determinism")
+        argv = ("ci", "--mean", "0.9", "--n", "10")
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        names = ["log", "exp", "log1p", "pow", "lgamma", "expm1", "tan", "hypot"]
+        exact = {name: getattr(math, name) for name in names}
+        direction, calls = random.Random(), dict.fromkeys(names, 0)
+
+        def nudged(name):
+            def call(*args):
+                calls[name] += 1
+                toward = math.inf if direction.getrandbits(1) else -math.inf
+                return math.nextafter(exact[name](*args), toward)
+
+            return call
+
+        for name in names:
+            monkeypatch.setattr(math, name, nudged(name))
+        try:
+            moved = []
+            for seed in range(200):
+                direction.seed(seed)
+                special._solve.cache_clear()  # a cached quantile would skip the nudge
+                if run(capsys, *argv) != (0, want, ""):
+                    moved.append(seed)
+        finally:
+            special._solve.cache_clear()
+        assert moved == []
+        assert calls["exp"] and calls["lgamma"], calls  # the model SD and the t quantile
+
     def test_bad_family(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--output", str(tmp_path / "x.csv"),
                          "--family", "cauchy:0")

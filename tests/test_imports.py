@@ -28,12 +28,16 @@ INTROSPECTION = ("dataclasses", "inspect")
 CI_SKIPS = {*INTROSPECTION, "csv", "segci.io"}
 
 
-def run_fresh(*args: str, timeout: float = 60, cwd=None) -> subprocess.CompletedProcess:
-    """Run ``python *args`` in a fresh interpreter that imports segci from src."""
+def run_fresh(*args: str, timeout: float = 60, cwd=None,
+              stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports segci from src.
+
+    stderr is captured, and so is stdout unless ``stdout`` names a file to write it to.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=timeout, cwd=cwd)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=timeout, cwd=cwd)
 
 
 def assert_no_numpy(code: str) -> None:

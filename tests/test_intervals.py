@@ -2,6 +2,9 @@ import itertools
 import math
 import random
 import re
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +21,8 @@ from segci import (
     parametric_ci,
     reconstruct_ci,
 )
-from segci.intervals import _resample_indices, _resample_means
-from segci.rng import DOMAIN_BOOTSTRAP, substream, substreams
+from segci.intervals import _lemire_draws, _resample_indices, _resample_means
+from segci.rng import DOMAIN_BOOTSTRAP, index_words, substream
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
 
@@ -327,6 +330,17 @@ class TestBootstrapCi:
         with pytest.raises(ValueError, match="overflow"):
             bootstrap_ci([0.5, 1e308, 1e308, 0.7], seed=1)
 
+    def test_rejects_sum_of_finite_limb_terms_past_the_range(self):
+        # Resample 0 of seed 1 draws each value once. Its two nonzero limb
+        # terms, 2^1024 - 2^1000 and 2^1000 - 2^970, are finite, but their
+        # exact sum, halfway between the largest float and 2^1024, rounds up.
+        values = [2.0**970, sys.float_info.max]
+        assert sorted(substream(1, DOMAIN_BOOTSTRAP, 0).integers(0, 2, size=2)) == [0, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^bootstrap_ci: a resample sum overflows"):
+                bootstrap_ci(values, seed=1)
+
 
 # Sample values: unit-interval scores, magnitudes across the whole float
 # range (small enough that no resample sum of up to 3000 draws overflows),
@@ -354,13 +368,32 @@ class TestResampleMeans:
         n_resamples=st.integers(1, 150),
         seed=st.integers(0, 2**32),
     )
-    @example(pool=[0.25, 0.75], n=2000, n_resamples=100, seed=0)  # full blocks, then a partial one
+    # one limb; full blocks, then a partial one
+    @example(pool=[0.25, 0.75], n=2000, n_resamples=100, seed=0)
+    # two limbs: DSC-like values, with an odd number of rows in the last half block
+    @example(pool=[0.8123456789, 0.9345678901, 0.6789012345, 0.5], n=2000, n_resamples=41, seed=2)
+    # three or more limbs: 2^-1074 beside 0.5
+    @example(pool=[5e-324, 0.5], n=50, n_resamples=700, seed=3)
     @example(pool=[5e-324, -0.0, 0.0, 1e300, -1e-300], n=3000, n_resamples=45, seed=1)
     def test_bit_identical_to_fsum_per_resample(self, pool, n, n_resamples, seed):
         arr = np.sort(np.array(random.Random(seed).choices(pool, k=n)))
         got = _resample_means(arr, n_resamples, seed)
         want = _fsum_means(arr, n_resamples, seed)
         assert [m.hex() for m in got.tolist()] == [m.hex() for m in want]
+
+    def test_memory_stays_within_the_block_buffers(self):
+        # the index and gather buffers (256 KB each), the words (128 KB), the
+        # sample's limbs and the means (80 KB): a gather buffer of a whole
+        # block of complex rows would take the peak to about 1.45 MB
+        arr = np.sort(beta_sample(2000, 8.0, 2.0, seed=1))
+        _resample_means(arr, 100, 0)
+        tracemalloc.start()
+        try:
+            _resample_means(arr, 10_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3e6
 
 
 def _integers_rows(seed, start, rows, n):
@@ -382,7 +415,7 @@ class TestResampleIndices:
     ])
     def test_equals_integers(self, n, rows):
         idx, raw = _buffers(rows, n)
-        redrawn = _resample_indices(substreams(11, DOMAIN_BOOTSTRAP), 5, idx, raw)
+        redrawn = _resample_indices(index_words(11, DOMAIN_BOOTSTRAP), 5, idx, raw)
         assert np.array_equal(idx, _integers_rows(11, 5, rows, n))
         if n & (n - 1) == 0:
             # 2^32 mod n == 0 for a power of two: no draw can be rejected
@@ -394,7 +427,7 @@ class TestResampleIndices:
         # one written into the front rows of the same buffers
         block, n_resamples = 7, 25
         idx, raw = _buffers(block, n)
-        streams = substreams(4, DOMAIN_BOOTSTRAP)
+        streams = index_words(4, DOMAIN_BOOTSTRAP)
         got = []
         for start in range(0, n_resamples, block):
             rows = min(block, n_resamples - start)
@@ -411,11 +444,28 @@ class TestResampleIndices:
         assert [i for i, u in enumerate(draws) if u * n % 2**32 < 2**32 % n] == [1725]
 
         idx, raw = _buffers(10, n)
-        redrawn = _resample_indices(substreams(seed, DOMAIN_BOOTSTRAP), 75, idx, raw)
+        redrawn = _resample_indices(index_words(seed, DOMAIN_BOOTSTRAP), 75, idx, raw)
         assert redrawn == 1
         assert np.array_equal(idx, _integers_rows(seed, 75, 10, n))
         # without the redraw the row would be the plain map of its words
         assert idx[r - 75].tolist() != [u * n >> 32 for u in draws]
+
+    @pytest.mark.parametrize("index", [0, 1, 79, 2**64 - 1])
+    @pytest.mark.parametrize("size", [1, 2, 15, 40])
+    def test_lemire_draws_equal_integers_where_rejection_is_common(self, index, size):
+        # 2^32 mod n = 2^30 - 1 for this n: about 1 draw in 4 is rejected
+        n = 3 * 2**30 + 1
+        got = _lemire_draws(index_words(6, DOMAIN_BOOTSTRAP), index, n, size)
+        want = substream(6, DOMAIN_BOOTSTRAP, index).integers(0, n, size=size)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_lemire_draws_pass_over_rejected_halves(self):
+        n, size = 3 * 2**30 + 1, 40
+        words = substream(6, DOMAIN_BOOTSTRAP, 0).bit_generator.random_raw(size).tolist()
+        halves = [w >> shift & 0xFFFFFFFF for w in words for shift in (0, 32)]
+        kept = [u * n >> 32 for u in halves if u * n % 2**32 >= 2**32 % n]
+        assert size <= len(kept) < 2 * size  # enough halves pass, and some do not
+        assert _lemire_draws(index_words(6, DOMAIN_BOOTSTRAP), 0, n, size).tolist() == kept[:size]
 
     def test_resample_means_with_rejected_draw(self):
         # resamples 0-99 of seed 0 at n = 3000 include the redrawn resample 79
@@ -429,7 +479,7 @@ class TestResampleIndices:
         idx = np.broadcast_to(np.zeros(1, dtype=np.int64), (1, n))
         raw = np.broadcast_to(np.zeros(1, dtype=np.uint64), (1, (n + 1) // 2))
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            _resample_indices(substreams(0, DOMAIN_BOOTSTRAP), 0, idx, raw)
+            _resample_indices(index_words(0, DOMAIN_BOOTSTRAP), 0, idx, raw)
 
 
 class TestCompareCis:

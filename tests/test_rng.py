@@ -7,8 +7,8 @@ import pytest
 
 import segci.rng
 from segci.rng import (
-    DOMAIN_CASES, _blocks, _round_keys, _ziggurat_normal, _ziggurat_tables, substream,
-    substreams, word_streams,
+    DOMAIN_CASES, _blocks, _round_keys, _ziggurat_normal, _ziggurat_tables, index_words,
+    substream, substreams, word_streams,
 )
 
 PATHS = [(), (4,), (4, 7), (4, 7, 11), (-1,), (2**64 + 3, 5)]
@@ -155,6 +155,14 @@ def test_substream_words_match_reference(path):
     streams = substreams(9, 2)
     streams(7, 7).random(3)  # a reset leaves nothing of the last stream behind
     assert streams(*path).bit_generator.random_raw(6).tolist() == expected
+
+
+@pytest.mark.parametrize("index", [0, 7, 2**63, 2**64 - 1, 2**64 + 3, -1])
+def test_index_words_match_substream(index):
+    words = index_words(9, 2)
+    words(5, 3)  # a reset leaves nothing of the last stream behind
+    assert words(index, 6).tolist() == substream(9, 2, index).bit_generator.random_raw(6).tolist()
+    assert words(index, 1).tolist() == substream(9, 2, index).bit_generator.random_raw(1).tolist()
 
 
 @pytest.mark.parametrize("domain", DOMAINS)

@@ -9,6 +9,7 @@ and count the forks, so that a run cannot pass by drawing in one process.
 import hashlib
 import os
 import signal
+import sys
 import tempfile
 import threading
 
@@ -252,6 +253,33 @@ def test_pipe_output_in_order():
     argv, want = SIMULATE_PINS["default"]
     proc = run_fresh("-m", "segci.cli", "simulate", "--output", "/dev/stdout", *argv)
     assert proc.returncode == 0, proc.stderr
-    rows, last, end = proc.stdout.rsplit("\n", 2)
-    assert (last, end) == ("wrote 9500 rows to /dev/stdout", "")
+    assert_rows_then_line(proc.stdout, "/dev/stdout", want)
+
+
+def assert_rows_then_line(text, output, want):
+    """``text`` is the 9500 rows whose sha256 is ``want``, then the line naming ``output``."""
+    rows, last, end = text.rsplit("\n", 2)
+    assert (last, end) == (f"wrote 9500 rows to {output}", "")
     assert hashlib.sha256(f"{rows}\n".encode()).hexdigest() == want
+
+
+def test_stdout_file_output_in_order(tmp_path):
+    # --output /dev/stdout > FILE: the line goes after the rows, not over the header
+    argv, want = SIMULATE_PINS["default"]
+    out = tmp_path / "cases.csv"
+    with open(out, "w") as stdout:
+        proc = run_fresh("-m", "segci.cli", "simulate", "--output", "/dev/stdout", *argv,
+                         stdout=stdout)
+    assert proc.returncode == 0, proc.stderr
+    assert_rows_then_line(out.read_text(encoding="utf-8"), "/dev/stdout", want)
+
+
+def test_stdout_is_output_file_in_process(monkeypatch, tmp_path, cpus):
+    # stdout opened on the file that --output names, as `--output FILE > FILE` does
+    cpus(2)
+    argv, want = SIMULATE_PINS["default"]
+    out = tmp_path / "cases.csv"
+    with open(out, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["simulate", "--output", str(out), *argv]) == 0
+    assert_rows_then_line(out.read_text(encoding="utf-8"), str(out), want)
