@@ -27,7 +27,7 @@ from importlib import resources
 from itertools import chain, count
 from typing import Callable, Sequence
 
-__all__ = ["substream", "substreams", "index_words", "word_streams", "gamma_sampler"]
+__all__ = ["substream", "index_words", "word_streams", "gamma_sampler"]
 
 _U64_MASK = (1 << 64) - 1
 
@@ -47,7 +47,7 @@ def _counter_words(path: tuple[int, ...]) -> list[int]:
     has 2^64 draws of room in the low word.
     """
     if len(path) > 3:
-        raise ValueError("substream supports at most three path indices")
+        raise ValueError(f"a stream path has at most three indices, got {len(path)}")
     words = [0, 0, 0, 0]
     for i, part in enumerate(path):
         words[3 - i] = part & _U64_MASK
@@ -68,63 +68,27 @@ def substream(seed: int, domain: int, *path: int) -> "numpy.random.Generator":
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _rewinder(seed: int, domain: int) -> tuple["numpy.random.Generator", dict, list[int]]:
-    """A generator of (seed, domain), the state that rewinds it, and that state's counter.
-
-    Setting ``rng.bit_generator.state = state`` starts the stream whose
-    256-bit counter ``counter`` holds (see :func:`_counter_words`), with
-    nothing buffered, as in a freshly built stream. The setter copies the
-    dict into the bit generator, so the counter may be rewritten in place
-    before the next reset.
-    """
-    rng = substream(seed, domain)
-    # Plain ints: the state setter reads them faster than numpy's uint64 arrays.
-    counter = [0, 0, 0, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": counter, "key": rng.bit_generator.state["state"]["key"].tolist()},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return rng, state, counter
-
-
-def substreams(seed: int, domain: int) -> Callable[..., "numpy.random.Generator"]:
-    """Reusable form of :func:`substream` for many paths of one (seed, domain).
-
-    ``streams = substreams(seed, domain)`` owns a single generator; each
-    ``streams(*path)`` resets it to the start of the (seed, domain, path)
-    stream and returns it. Its draws are bit-identical to those of
-    ``substream(seed, domain, *path)``, at a fraction of the cost of
-    building a new generator.
-
-    The returned generator is valid only until the next call: that call
-    rewinds it to another stream.
-    """
-    rng, state, counter = _rewinder(seed, domain)
-    bitgen = rng.bit_generator
-
-    def at(*path: int) -> "numpy.random.Generator":
-        counter[:] = _counter_words(path)
-        bitgen.state = state
-        return rng
-
-    return at
-
-
 def index_words(seed: int, domain: int) -> Callable[[int, int], "numpy.ndarray"]:
     """The raw words of many one-index streams of (seed, domain).
 
     ``words = index_words(seed, domain)``; ``words(i, size)`` returns the
     first ``size`` words of the (seed, domain, i) stream, as
     ``substream(seed, domain, i).bit_generator.random_raw(size)`` does.
-    A call only writes i into the counter's high word and resets the one
-    generator: about half the cost of a ``substreams`` reset.
+    One generator serves every call: a call writes i into the counter's
+    high word and sets the state, with nothing buffered, as in a freshly
+    built stream. The setter copies the dict, so the counter is rewritten in place.
     """
-    rng, state, counter = _rewinder(seed, domain)
-    bitgen = rng.bit_generator
+    bitgen = substream(seed, domain).bit_generator
+    # Plain ints: the state setter reads them faster than numpy's uint64 arrays.
+    counter = [0, 0, 0, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": bitgen.state["state"]["key"].tolist()},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     random_raw = bitgen.random_raw
 
     def words(index: int, size: int) -> "numpy.ndarray":

@@ -1,14 +1,17 @@
-"""Docs drift: README's CLI table, report field lists, schema number and Quickstart, and
-the simulate pins that CI checks without numpy."""
+"""Docs drift: README's CLI table, report field lists, schema number, Quickstart, model-SD
+table and dotted names, and the pins that CI checks without numpy."""
 
 import argparse
+import pkgutil
 import re
 from pathlib import Path
 
 from segci import cli
 from segci.calibration import CalibrationSummary
 from segci.descriptive import SampleSummary
+from segci.glm import paper_model, predict_sd_pct
 from test_cli import SIMULATE_PINS
+from test_rng import KNOWN_DRAWS
 
 ROOT = Path(__file__).resolve().parents[1]
 README_TEXT = (ROOT / "README.md").read_text()
@@ -80,7 +83,33 @@ def test_library_quickstart_numbers(capsys):
     assert claims == 3
 
 
+def test_model_sd_table():
+    # each cell is predict_sd_pct at its mean and b2, with b0 and b1 as bundled, to 0.1
+    header = re.search(r"^\| mean DSC \| model SD, (.*) \|$", README_TEXT, re.M)
+    b2s = [float(b2.replace("−", "-")) for b2 in re.findall(r"b2 = (\S+)", header.group(1))]
+    rows = re.findall(r"^\| (\d+) % \| (.*) \|$", README_TEXT[header.end():], re.M)
+    b0, b1, _ = paper_model().coefficients
+    assert [mean for mean, _ in rows] == ["70", "80", "90", "95"]
+    for mean, cells in rows:
+        want = [f"{predict_sd_pct((b0, b1, b2), float(mean)):.1f} %" for b2 in b2s]
+        assert cells.split(" | ") == want, mean
+
+
+def test_dotted_names_resolve():
+    names = set(re.findall(r"\bsegci(?:\.\w+)+", README))
+    assert {"segci.rng.substream", "segci.rng.index_words", "segci.rng.word_streams",
+            "segci.rng.gamma_sampler"} <= names
+    for name in sorted(names):
+        pkgutil.resolve_name(name)  # ImportError or AttributeError for a stale name
+
+
 def test_workflow_checks_every_simulate_pin():
     # the no-numpy job runs simulate on Python 3.10, where the suite cannot run
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     assert [name for name, (_, digest) in SIMULATE_PINS.items() if digest not in workflow] == []
+
+
+def test_workflow_checks_the_known_words():
+    # the no-numpy job checks segci's Philox words on Python 3.10 too
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert [word for word in KNOWN_DRAWS["random_raw"] if f'"{word}"' not in workflow] == []

@@ -6,68 +6,69 @@ import numpy as np
 import pytest
 
 import segci.rng
+from segci.intervals import _lemire_draws
 from segci.rng import (
     DOMAIN_CASES, _blocks, _round_keys, _ziggurat_normal, _ziggurat_tables, index_words,
-    substream, substreams, word_streams,
+    substream, word_streams,
 )
 
 PATHS = [(), (4,), (4, 7), (4, 7, 11), (-1,), (2**64 + 3, 5)]
 DOMAINS = (1, 9)
 
 
-def draws(rng):
-    # a mix of 64-bit, 32-bit and buffered consumers of the bit generator
-    return (
-        rng.random(3).tolist(),
-        rng.random(2, dtype=np.float32).tolist(),
-        [int(rng.integers(0, 7)) for _ in range(5)],
-        rng.standard_normal(2).tolist(),
-        rng.integers(0, 2**40, size=2).tolist(),
-        float(rng.uniform(0.2, 0.9)),
-    )
+# the one-index paths of index_words' streams
+INDEX_PATHS = [(0,), (4,), (2**63,), (2**64 - 1,), (-1,), (2**64 + 3,)]
+
+
+def fresh_words(seed, domain, path, size):
+    return substream(seed, domain, *path).bit_generator.random_raw(size).tolist()
 
 
 class TestSubstreams:
+    """index_words' reset, the one reset of a numpy generator: each call starts the
+    (seed, domain, i) stream as a fresh substream does, whatever the last call left."""
+
     @pytest.mark.parametrize("domain", DOMAINS)
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("path", INDEX_PATHS)
     def test_reset_matches_fresh_stream(self, domain, path):
-        streams = substreams(31, domain)
-        assert draws(streams(*path)) == draws(substream(31, domain, *path))
+        words = index_words(31, domain)
+        assert words(*path, 9).tolist() == fresh_words(31, domain, path, 9)
+        words(7, 9)
+        assert words(*path, 9).tolist() == fresh_words(31, domain, path, 9)
 
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("path", INDEX_PATHS)
     def test_after_half_used_uint32(self, path):
-        streams = substreams(31, 1)
-        rng = streams(2, 2)
-        for _ in range(3):
-            rng.integers(0, 7)
-        assert rng.bit_generator.state["has_uint32"] == 1
-        assert draws(streams(*path)) == draws(substream(31, 1, *path))
+        # the bootstrap draws 32-bit halves: an odd count of them leaves half a word unused
+        words = index_words(31, 1)
+        assert _lemire_draws(words, 2, 7, 3).tolist() == substream(31, 1, 2).integers(
+            0, 7, size=3).tolist()
+        assert _lemire_draws(words, *path, 7, 5).tolist() == substream(31, 1, *path).integers(
+            0, 7, size=5).tolist()
 
-    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("path", INDEX_PATHS)
     def test_after_part_used_buffer(self, path):
-        streams = substreams(31, 1)
-        rng = streams(3)
-        rng.random()
-        assert rng.bit_generator.state["buffer_pos"] not in (0, 4)
-        assert draws(streams(*path)) == draws(substream(31, 1, *path))
+        # a Philox block holds four words: one, two or three of them stay buffered
+        words = index_words(31, 1)
+        for used in (1, 2, 3):
+            words(3, used)
+            assert words(*path, 6).tolist() == fresh_words(31, 1, path, 6)
 
     def test_indices_are_masked_to_64_bits(self):
-        streams = substreams(8, 2)
-        assert draws(streams(2**64 + 3)) == draws(substream(8, 2, 3))
-        assert draws(streams(-1)) == draws(substream(8, 2, 2**64 - 1))
+        words = index_words(8, 2)
+        assert words(2**64 + 3, 5).tolist() == fresh_words(8, 2, (3,), 5)
+        assert words(-1, 5).tolist() == fresh_words(8, 2, (2**64 - 1,), 5)
 
     def test_revisiting_a_path_restarts_it(self):
-        streams = substreams(8, 2)
-        first = draws(streams(5, 1))
-        draws(streams(6))
-        assert draws(streams(5, 1)) == first
+        words = index_words(8, 2)
+        first = words(5, 6).tolist()
+        words(6, 3)
+        assert words(5, 6).tolist() == first
 
     def test_at_most_three_indices(self):
-        with pytest.raises(ValueError):
+        message = "a stream path has at most three indices, got 4"
+        with pytest.raises(ValueError, match=message):
             substream(1, 1, 0, 1, 2, 3)
-        with pytest.raises(ValueError):
-            substreams(1, 1)(0, 1, 2, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             word_streams(1, 1)(0, 1, 2, 3)
 
 
@@ -85,7 +86,7 @@ KNOWN_DRAWS = {
 
 @pytest.mark.parametrize("method", list(KNOWN_DRAWS))
 def test_known_draws_after_reset(method):
-    rng = substreams(42, DOMAIN_CASES)(0, 0, 0)
+    rng = substream(42, DOMAIN_CASES, 0, 0, 0)
     if method == "random_raw":
         got = [hex(int(word)) for word in rng.bit_generator.random_raw(3)]
     else:
@@ -152,9 +153,6 @@ COUNTERS = {(): (0, 0, 0, 0), (3,): (0, 0, 0, 3), (3, 4): (0, 0, 4, 3), (3, 4, 5
 def test_substream_words_match_reference(path):
     expected = philox4x64_10(COUNTERS[path], (9, 2), 6)
     assert substream(9, 2, *path).bit_generator.random_raw(6).tolist() == expected
-    streams = substreams(9, 2)
-    streams(7, 7).random(3)  # a reset leaves nothing of the last stream behind
-    assert streams(*path).bit_generator.random_raw(6).tolist() == expected
 
 
 @pytest.mark.parametrize("index", [0, 7, 2**63, 2**64 - 1, 2**64 + 3, -1])
@@ -181,11 +179,11 @@ def test_first_blocks_match_word_streams(seed, n):
     # blocks 1 and 2 of each lane against numpy's words, at the edges of
     # every counter word, for consecutive cases and for cases out of order:
     # a lane that carried into its neighbour, or a case in the wrong lane, shows here
-    streams, keys = substreams(seed, DOMAIN_CASES), _round_keys(seed, DOMAIN_CASES)
+    keys = _round_keys(seed, DOMAIN_CASES)
     for t, m, c in itertools.product((0, 2**64 - 1), repeat=3):
         consecutive = [(c + i) & _M64 for i in range(n)]
         for cases in (consecutive, consecutive[::-3]):
-            words = [streams(t, m, case).bit_generator.random_raw(8).tolist() for case in cases]
+            words = [fresh_words(seed, DOMAIN_CASES, (t, m, case), 8) for case in cases]
             for block in (1, 2):
                 got = _blocks(keys, t, m, cases, block)
                 assert got == [tuple(w[4 * block - 4:4 * block]) for w in words], (t, m, c, block)

@@ -21,7 +21,7 @@ from segci import (
 )
 from segci.cli import bundled_demo_corpus_path
 from segci.io import read_corpus_csv
-from segci.rng import DOMAIN_CASES, gamma_sampler, substreams, word_streams
+from segci.rng import DOMAIN_CASES, gamma_sampler, index_words, substream, word_streams
 from segci.simulate import _BATCH
 from test_imports import run_fresh
 
@@ -53,13 +53,12 @@ def reference_beta(family, rng):
 
 def reference_results(spec):
     """generate_results as a plain loop over numpy generators, one set of ids per case."""
-    streams = substreams(spec.seed, DOMAIN_CASES)
     return [
         CaseResult(
             task_id=f"task{t + 1:02d}",
             method_id=f"method{m + 1:02d}",
             case_id=f"case{c + 1:05d}",
-            dsc=reference_beta(spec.family, streams(t, m, c)),
+            dsc=reference_beta(spec.family, substream(spec.seed, DOMAIN_CASES, t, m, c)),
         )
         for t in range(spec.n_tasks)
         for m in range(spec.methods_per_task)
@@ -88,8 +87,9 @@ def summarize_pairs(rows):
 
 def numpy_draws(family, seed, n):
     """n draws of ``family``'s sampler, one on the raw words of each numpy stream (seed, 5, i)."""
-    draw, streams = family.sampler(), substreams(seed, 5)
-    return [draw(streams(i).bit_generator.random_raw) for i in range(n)]
+    # each draw here reads at most 14 words; one that read more than 32 would raise StopIteration
+    draw, words = family.sampler(), index_words(seed, 5)
+    return [draw(iter(words(i, 32).tolist()).__next__) for i in range(n)]
 
 
 class TestSampleBeta:
@@ -163,25 +163,25 @@ class TestSampleBeta:
 class TestGammaSampler:
     @pytest.mark.parametrize("shape", [0.05, 0.3, 0.5, 0.999, 1.0, 1.5, 2.5, 8.0, 40.0])
     def test_matches_reference_sampler(self, shape):
-        streams, words = substreams(31, 5), word_streams(31, 5)
+        words = word_streams(31, 5)
         draw = gamma_sampler(shape)
         for i in range(300):
-            want = reference_gamma(shape, streams(i))
+            want = reference_gamma(shape, substream(31, 5, i))
             # one sampler reused across streams, and a fresh one per stream;
             # segci's words, and numpy's words of the same stream
             assert draw(words(i)).hex() == want.hex()
             assert gamma_sampler(shape)(words(i)).hex() == want.hex()
-            assert draw(streams(i).bit_generator.random_raw).hex() == want.hex()
+            assert draw(substream(31, 5, i).bit_generator.random_raw).hex() == want.hex()
 
     @pytest.mark.parametrize("shape", [0.3, 2.5])
     def test_consumes_the_reference_draws(self, shape):
         # the next word after a sample shows that both took the same count
-        streams, words = substreams(32, 5), word_streams(32, 5)
+        words = word_streams(32, 5)
         draw = gamma_sampler(shape)
         for i in range(100):
             word = words(i)
             draw(word)
-            rng = streams(i)
+            rng = substream(32, 5, i)
             reference_gamma(shape, rng)
             assert word() == rng.bit_generator.random_raw()
 
