@@ -39,6 +39,15 @@ BOOTSTRAP_PERCENTILE = "bootstrap_percentile"
 MIN_BOOTSTRAP_RESAMPLES = 100
 # Draws per block of resamples: each block buffer holds 256 KB.
 _BLOCK_ELEMENTS = 2**15
+# The fewest draws (resamples times n) in each part of a bootstrap split over
+# processes: the measured crossover. A worker's fork, exit and reaping take
+# about 1.5 ms, and the pages that both processes then copy take more. On a
+# shared 2-vCPU VM at n = 2000, two parts against one, in sets of 11 to 21
+# alternations, were faster in the median in 0 of 4 sets with parts of 256,000
+# draws, 1 of 6 with 500,000, 3 of 8 with 1,000,000, 4 of 7 with 2,000,000
+# and 3 of 3 with 10,000,000. A draw costs more at small n, where the reset of
+# each resample's stream weighs more, so there this floor errs towards one process.
+_FORK_DRAWS = 2**20
 
 
 class ConfidenceInterval(NamedTuple):
@@ -165,7 +174,9 @@ def bootstrap_ci(
     sorted first, making the result a function of the multiset of
     values rather than their ordering. Each resample mean is the correctly
     rounded sum of its draws, computed exactly, divided by n, so blocking
-    and summation order never change a bit.
+    and summation order never change a bit. Nor does the number of usable
+    CPUs: a large bootstrap is drawn by a forked worker process a CPU
+    (see :func:`_resample_means`).
 
     Non-finite values are refused, as are a seed that is not an integer
     in [0, 2**64), an n_resamples that is not an integer of at least 100,
@@ -230,7 +241,14 @@ def _resample_means(arr, n_resamples: int, seed: int):
     block at a time. That sum cannot overflow: as k >= 0, the low term is
     below 2^52 and the high one below n * 2^(2 bits) < 2^102. With more
     limbs, ldexp or fsum may.
-    Raises OverflowError when a resample sum leaves the float range.
+    The resamples are drawn in contiguous parts of whole blocks, one a
+    process that :func:`segci.io._processes` allows, and none of fewer
+    than ``_FORK_DRAWS`` draws. This process draws the first part; a
+    worker forked through :func:`segci.io._forked` draws each other one
+    and returns its means as float64 bytes. Each resample reads only its
+    own stream, so the parts change no bit.
+    Raises OverflowError when a resample sum leaves the float range,
+    whichever process drew it.
     """
     import numpy as np
 
@@ -255,31 +273,46 @@ def _resample_means(arr, n_resamples: int, seed: int):
     exponents = [shift - k for shift in shifts]
 
     block = max(1, _BLOCK_ELEMENTS // n)
-    # half a block of rows at a time keeps the complex gather buffer at 256 KB
-    half = (block + 1) // 2
-    idx = np.empty((block, n), dtype=np.int64)
-    raw = np.empty((block, (n + 1) // 2), dtype=np.uint64)
-    drawn = np.empty((half, n), dtype=complex)
-    sums = np.empty((block, len(pairs)), dtype=complex)
-    limb_sums = sums.view(float)  # limb i of row j at [j, i]
     means = np.empty(n_resamples)
     words = index_words(seed, DOMAIN_BOOTSTRAP)
-    for start in range(0, n_resamples, block):
-        rows = min(block, n_resamples - start)
-        _resample_indices(words, start, idx[:rows], raw[:rows])
-        for lo in range(0, rows, half):
-            hi = min(rows, lo + half)
-            for pair, column in enumerate(pairs):
-                # the draws are in range; "clip" skips the copy of out that "raise" makes
-                column.take(idx[lo:hi], out=drawn[:hi - lo], mode="clip")
-                drawn[:hi - lo].sum(axis=1, out=sums[lo:hi, pair])
-        out = means[start:start + rows]
-        if len(pairs) == 1:
-            np.ldexp(limb_sums[:rows, 0], exponents[0], out=out)
-            out += np.ldexp(limb_sums[:rows, 1], exponents[1])
-        else:
-            out[:] = [math.fsum(map(math.ldexp, row, exponents))
-                      for row in limb_sums[:rows].tolist()]
+
+    def draw(first: int, stop: int):
+        """``means[first:stop]`` times n: the exact sum of each resample, rounded once."""
+        # half a block of rows at a time keeps the complex gather buffer at 256 KB
+        half = (block + 1) // 2
+        idx = np.empty((block, n), dtype=np.int64)
+        raw = np.empty((block, (n + 1) // 2), dtype=np.uint64)
+        drawn = np.empty((half, n), dtype=complex)
+        sums = np.empty((block, len(pairs)), dtype=complex)
+        limb_sums = sums.view(float)  # limb i of row j at [j, i]
+        for start in range(first, stop, block):
+            rows = min(block, stop - start)
+            _resample_indices(words, start, idx[:rows], raw[:rows])
+            for lo in range(0, rows, half):
+                hi = min(rows, lo + half)
+                for pair, column in enumerate(pairs):
+                    # the draws are in range; "clip" skips the copy of out that "raise" makes
+                    column.take(idx[lo:hi], out=drawn[:hi - lo], mode="clip")
+                    drawn[:hi - lo].sum(axis=1, out=sums[lo:hi, pair])
+            out = means[start:start + rows]
+            if len(pairs) == 1:
+                np.ldexp(limb_sums[:rows, 0], exponents[0], out=out)
+                out += np.ldexp(limb_sums[:rows, 1], exponents[1])
+            else:
+                out[:] = [math.fsum(map(math.ldexp, row, exponents))
+                          for row in limb_sums[:rows].tolist()]
+        return means[first:stop]
+
+    # whole blocks a part, and no part of fewer than _FORK_DRAWS draws
+    from .io import _forked, _processes
+
+    blocks = -(-n_resamples // block)
+    n_parts = max(1, min(blocks, n_resamples * n // _FORK_DRAWS, _processes()))
+    bounds = [min(n_resamples, blocks * i // n_parts * block) for i in range(n_parts + 1)]
+    parts = list(zip(bounds[1:-1], bounds[2:]))
+    with _forked(parts, lambda file, part: file.write(draw(*part)), "bootstrap") as appended:
+        draw(0, bounds[1])
+        means[bounds[1]:] = np.frombuffer(b"".join(appended))
     means /= n
     return means
 

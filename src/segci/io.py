@@ -197,10 +197,14 @@ def write_per_case_csv(rows: Iterable[CaseResult], path: "str | Path") -> None:
             for task_id, method_id, case_id, dsc in rows
         )
 
+    def write_bytes(file, rows) -> None:  # a worker's: the rows as UTF-8 into its binary file
+        with open(file.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
+            write(out, rows)
+
     first, *rest = _parts(rows)
     fh = open(path, "w", encoding="utf-8", newline="")
     try:
-        with fh, _forked(rest, write) as appended:
+        with fh, _forked(rest, write_bytes, "simulate") as appended:
             fh.write(",".join(PER_CASE_HEADER) + "\n")
             write(fh, first)
             fh.flush()
@@ -216,28 +220,45 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _parts(rows: Iterable[CaseResult]) -> list:
-    """``rows`` in the contiguous parts that processes draw, one a usable CPU.
+def _processes() -> int:
+    """How many processes may draw a job that splits: one a usable CPU, but
+    only one where ``os.fork`` is missing or another Python thread runs: a
+    forked child holds only the thread that forked it, and no lock that
+    another held.
+    """
+    import threading
 
-    Only a :class:`~segci.simulate.SimulatedRows` is split (see its ``_split``),
-    and only where ``os.fork`` exists and no other Python thread runs: a forked
-    child holds only the thread that forked it, and no lock that another held.
+    return _usable_cpus() if hasattr(os, "fork") and threading.active_count() == 1 else 1
+
+
+def _parts(rows: Iterable[CaseResult]) -> list:
+    """``rows`` in the contiguous parts that processes draw, as many as :func:`_processes`.
+
+    Only a :class:`~segci.simulate.SimulatedRows` is split (see its ``_split``).
     """
     from .simulate import SimulatedRows
 
-    if not isinstance(rows, SimulatedRows) or not hasattr(os, "fork"):
+    if not isinstance(rows, SimulatedRows):
         return [rows]
-    import threading
+    return rows._split(_processes())
 
-    return rows._split(_usable_cpus() if threading.active_count() == 1 else 1)
+
+# CPython 3.12+ warns at os.fork() when the process runs more than one OS
+# thread. With numpy loaded, OpenBLAS's pool is such a thread, so each split
+# bootstrap would warn (pytest shows every one). The warning is ignored: the
+# pool quiesces through pthread_atfork, and a worker calls no BLAS routine. A
+# Python thread never runs beside a fork (see _processes).
+_MULTI_THREADED = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
 
 
 @contextlib.contextmanager
-def _forked(parts: list, write) -> Iterator[Iterator[bytes]]:
+def _forked(parts: list, write, noun: str) -> Iterator[Iterator[bytes]]:
     """A worker forked for each of ``parts``, to ``write`` it into an unlinked temporary file.
 
-    Yields the bytes of the files in order: each waits for its worker, and raises
-    what the worker raised if it failed. On leaving, every worker still running is
+    ``write(file, part)`` writes bytes to the binary ``file``. Yields the bytes
+    of the files in order: each waits for its worker, and raises what the worker
+    raised if it failed, or a ``ChildProcessError`` that names the ``noun``
+    worker if it ended otherwise. On leaving, every worker still running is
     killed, and every worker is reaped, on success, on error and on an interrupt.
     """
     files, running = [], []
@@ -252,15 +273,18 @@ def _forked(parts: list, write) -> Iterator[Iterator[bytes]]:
 
                 raise pickle.load(file)
             if status:
-                raise ChildProcessError(f"a simulate worker process ended with status {status}")
+                raise ChildProcessError(f"a {noun} worker process ended with status {status}")
             yield from iter(functools.partial(file.read, 1 << 16), b"")
 
     try:
         for part in parts:
             import tempfile  # here, so that a run in one process does not load it
+            import warnings
 
             files.append(tempfile.TemporaryFile())
-            running.append(os.fork())  # at once, so that no interrupt can lose a worker's pid
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _MULTI_THREADED, DeprecationWarning)
+                running.append(os.fork())  # at once, so that no interrupt can lose a worker's pid
             if running[-1] == 0:  # in the worker
                 _work(files[-1], write, part)
         yield appended()
@@ -277,15 +301,16 @@ def _forked(parts: list, write) -> Iterator[Iterator[bytes]]:
 def _work(file, write, part) -> None:
     """A worker's life: ``write`` ``part`` into ``file`` and exit 0, or exit 1 with its error.
 
-    The error is pickled at the start of ``file``, over the rows: ``pickle.load``
-    stops at its end. Exit status 2 says that even the error could not be pickled.
-    The worker leaves only through ``os._exit``, so that no ``atexit`` handler and
-    no caller's ``finally`` runs in it, and no buffer that it inherited is flushed.
+    The error is pickled at the start of ``file``, over what was written:
+    ``pickle.load`` stops at its end. Exit status 2 says that even the error
+    could not be pickled. The worker leaves only through ``os._exit``, so that
+    no ``atexit`` handler and no caller's ``finally`` runs in it, and no buffer
+    that it inherited is flushed.
     """
     exit_status = 2
     try:
-        with open(file.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:
-            write(out, part)
+        write(file, part)
+        file.flush()
         exit_status = 0
     except BaseException as exc:
         import pickle

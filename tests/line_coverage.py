@@ -5,17 +5,23 @@ Run from the repository root, with the package on the path::
     PYTHONPATH=src python tests/line_coverage.py -q
 
 The arguments go to pytest, which runs the suite in this process under
-``sys.settrace`` (and ``threading.settrace`` for new threads); child
-processes are not traced. A line is executable if a code object's
-``co_lines()`` names it. The run fails if the suite fails, if a statement
-with an executable line that did not run is not exempt below, or if an
-exemption no longer matches a missed statement. pytest does not collect
-this file, as its name does not start with ``test_``.
+``sys.settrace`` (and ``threading.settrace`` for new threads). A child
+that this process forks inherits the trace up to ``os._exit``, through
+which ``io._forked``'s workers leave: there its lines are spooled to a
+file, merged after the suite. Other child processes are not traced. A
+line is executable if a code object's ``co_lines()`` names it. The run
+fails if the suite fails, if a statement with an executable line that
+did not run is not exempt below, or if an exemption no longer matches a
+missed statement. pytest does not collect this file, as its name does
+not start with ``test_``.
 """
 
 import ast
 import os
+import pickle
+import shutil
 import sys
+import tempfile
 import threading
 import types
 from importlib.util import find_spec
@@ -24,7 +30,6 @@ from pathlib import Path
 import pytest
 
 _TYPE_CHECKING = "imported for type checkers only"
-_WORKER = "runs only in a worker that io._forked forks, and child processes are not traced"
 _BETA_CF = "not reached by the suite; _beta_cf keeps it until ROADMAP item 2 picks its switch point"
 
 # (file, first line of a statement, stripped) -> why the suite does not run that statement
@@ -32,17 +37,6 @@ EXEMPT = {
     ("io.py", "from .corpus import PaperRecord"): _TYPE_CHECKING,
     ("io.py", "from .simulate import CaseResult"): _TYPE_CHECKING,
     ("cli.py", "sys.exit(main())"): "runs only as `python -m segci.cli`, in a child process",
-    ("io.py", "_work(files[-1], write, part)"): _WORKER,
-    ("io.py", "exit_status = 2"): _WORKER,
-    ("io.py", "try:"): _WORKER,  # _work's; every other try in io.py runs
-    ("io.py", 'with open(file.fileno(), "w", encoding="utf-8", newline="", closefd=False) as out:'):
-        _WORKER,
-    ("io.py", "write(out, part)"): _WORKER,
-    ("io.py", "exit_status = 0"): _WORKER,
-    ("io.py", "import pickle"): _WORKER,  # _work's; _forked's runs
-    ("io.py", "os.pwrite(file.fileno(), pickle.dumps(exc), 0)"): _WORKER,
-    ("io.py", "exit_status = 1"): _WORKER,
-    ("io.py", "os._exit(exit_status)"): _WORKER,
     ("special.py", "d = tiny"): _BETA_CF,
     ("special.py", "c = tiny"): _BETA_CF,
     ("special.py", "raise ArithmeticError("): _BETA_CF,
@@ -88,6 +82,16 @@ def run_suite(paths: list[str], args: list[str]) -> tuple[int, dict[str, set[int
 
         return local
 
+    collector, exit_, spool = os.getpid(), os._exit, tempfile.mkdtemp()
+
+    def spooled_exit(status):
+        if os.getpid() != collector:  # a forked child: keep its lines for the collector
+            fd, _ = tempfile.mkstemp(dir=spool)
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(ran, fh)
+        exit_(status)
+
+    os._exit = spooled_exit
     threading.settrace(trace)
     sys.settrace(trace)
     try:
@@ -95,6 +99,11 @@ def run_suite(paths: list[str], args: list[str]) -> tuple[int, dict[str, set[int
     finally:
         sys.settrace(None)
         threading.settrace(None)
+        os._exit = exit_
+        for spooled in Path(spool).iterdir():
+            for path, lines in pickle.loads(spooled.read_bytes()).items():
+                ran[path] |= lines
+        shutil.rmtree(spool)
     return status, ran
 
 

@@ -21,10 +21,19 @@ from segci import (
     parametric_ci,
     reconstruct_ci,
 )
+from segci import io as sio
 from segci.intervals import _lemire_draws, _resample_indices, _resample_means
 from segci.rng import DOMAIN_BOOTSTRAP, index_words, substream
 
 PAPER_COEFFS = (2.0310, 0.0726, -0.0008)
+
+# id -> (n, seed, lower, upper): bootstrap_ci of beta_sample(n, 8, 2, seed) at
+# seed with 1000 resamples, endpoints frozen bit for bit (test_workers.py runs
+# them on several CPU counts)
+BOOTSTRAP_PINS = {
+    "n50": (50, 3, "0x1.8c50bff72074cp-1", "0x1.aed46cded5473p-1"),
+    "n2000": (2000, 8, "0x1.97b2f2bfbe865p-1", "0x1.9d30f364d2016p-1"),
+}
 
 
 class TestApproximateSd:
@@ -244,14 +253,8 @@ class TestBootstrapCi:
         ci_c = bootstrap_ci(shuffled, seed=77, n_resamples=1_000)
         assert ci_a == ci_b == ci_c
 
-    @pytest.mark.parametrize(
-        "n, seed, lower, upper",
-        [
-            (50, 3, "0x1.8c50bff72074cp-1", "0x1.aed46cded5473p-1"),
-            (2000, 8, "0x1.97b2f2bfbe865p-1", "0x1.9d30f364d2016p-1"),
-        ],
-        ids=["n50", "n2000"],
-    )
+    @pytest.mark.parametrize("n, seed, lower, upper", list(BOOTSTRAP_PINS.values()),
+                             ids=list(BOOTSTRAP_PINS))
     def test_endpoints_pinned(self, n, seed, lower, upper):
         # frozen endpoints, bit for bit
         values = beta_sample(n, 8.0, 2.0, seed=seed)
@@ -381,10 +384,12 @@ class TestResampleMeans:
         want = _fsum_means(arr, n_resamples, seed)
         assert [m.hex() for m in got.tolist()] == [m.hex() for m in want]
 
-    def test_memory_stays_within_the_block_buffers(self):
+    def test_memory_stays_within_the_block_buffers(self, monkeypatch):
         # the index and gather buffers (256 KB each), the words (128 KB), the
         # sample's limbs and the means (80 KB): a gather buffer of a whole
-        # block of complex rows would take the peak to about 1.45 MB
+        # block of complex rows would take the peak to about 1.45 MB. One
+        # usable CPU, so that this process draws every resample.
+        monkeypatch.setattr(sio, "_usable_cpus", lambda: 1)
         arr = np.sort(beta_sample(2000, 8.0, 2.0, seed=1))
         _resample_means(arr, 100, 0)
         tracemalloc.start()

@@ -1,9 +1,11 @@
-"""`segci simulate` on several CPUs: the same bytes, the same errors, no process left.
+"""`segci simulate` and `bootstrap_ci` on several CPUs: the same bytes, the same errors,
+no process left.
 
-A :class:`~segci.simulate.SimulatedRows` of two batches or more is drawn in
-contiguous parts, the first in this process and each other in a worker forked
-for it. These tests set the usable-CPU count, so that they fork on any machine,
-and count the forks, so that a run cannot pass by drawing in one process.
+A :class:`~segci.simulate.SimulatedRows` of two batches or more, and a bootstrap
+of two parts of ``_FORK_DRAWS`` draws or more, are drawn in contiguous parts, the
+first in this process and each other in a worker forked for it. These tests set
+the usable-CPU count, so that they fork on any machine, and count the forks, so
+that a run cannot pass by drawing in one process.
 """
 
 import hashlib
@@ -12,15 +14,19 @@ import signal
 import sys
 import tempfile
 import threading
+import warnings
 
 import pytest
 
-from segci import BetaFamily, SimSpec, SimulatedRows, generate_results, parse_family
+from mc_fixtures import beta_sample
+from segci import BetaFamily, SimSpec, SimulatedRows, bootstrap_ci, generate_results, parse_family
+from segci import intervals
 from segci import io as sio
 from segci.cli import main
 from segci.simulate import _BATCH
 from test_cli import SIMULATE_PINS, run
 from test_imports import run_fresh
+from test_intervals import BOOTSTRAP_PINS
 
 CPU_COUNTS = [1, 2, 3]
 MANY = 10**6  # more CPUs than any run here has batches
@@ -283,3 +289,162 @@ def test_stdout_is_output_file_in_process(monkeypatch, tmp_path, cpus):
         monkeypatch.setattr(sys, "stdout", stdout)
         assert main(["simulate", "--output", str(out), *argv]) == 0
     assert_rows_then_line(out.read_text(encoding="utf-8"), str(out), want)
+
+
+# bootstrap_ci splits only parts of _FORK_DRAWS draws or more, and on whole
+# blocks of resamples. These tests lower the floor to a quarter of the run's
+# draws, so that a pinned run of 1000 resamples splits into as many as four
+# parts: n = 50 has two blocks of 655 resamples, n = 2000 has 63 of 16.
+# id -> CPU count -> the workers that the pinned run forks
+BOOTSTRAP_WORKERS = {"n50": {1: 0, 2: 1, 3: 1, MANY: 1}, "n2000": {1: 0, 2: 1, 3: 2, MANY: 3}}
+
+
+@pytest.fixture
+def floor(monkeypatch):
+    def use(draws: int) -> None:
+        monkeypatch.setattr(intervals, "_FORK_DRAWS", draws)
+
+    return use
+
+
+@pytest.mark.parametrize("count", [*CPU_COUNTS, MANY])
+@pytest.mark.parametrize("pin", list(BOOTSTRAP_PINS))
+def test_bootstrap_pins_hold_on_any_cpu_count(forks, cpus, floor, pin, count):
+    n, seed, lower, upper = BOOTSTRAP_PINS[pin]
+    values = beta_sample(n, 8.0, 2.0, seed=seed)
+    cpus(count)
+    floor(n * 1000 // 4)
+    ci = bootstrap_ci(values, seed=seed, n_resamples=1000)
+    assert (ci.lower.hex(), ci.upper.hex()) == (lower, upper)
+    assert len(forks) == BOOTSTRAP_WORKERS[pin][count]
+    assert_no_child()
+
+
+def test_bootstrap_splits_only_parts_of_the_floor(forks, cpus):
+    # at n = 2048 a part must hold 512 resamples: 2**20 draws
+    values = beta_sample(2048, 8.0, 2.0, seed=4)
+    cpus(MANY)
+    bootstrap_ci(values, seed=4, n_resamples=1023)
+    assert forks == []
+    bootstrap_ci(values, seed=4, n_resamples=1024)
+    assert len(forks) == 1
+    # crosscheck's n = 50 run of 10,000 resamples: 500,000 draws
+    bootstrap_ci(beta_sample(50, 8.0, 2.0, seed=4), seed=4)
+    assert len(forks) == 1
+    assert_no_child()
+
+
+def test_bootstrap_with_another_thread_keeps_one_process(forks, cpus, floor):
+    n, seed, lower, upper = BOOTSTRAP_PINS["n2000"]
+    cpus(4)
+    floor(1)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        ci = bootstrap_ci(beta_sample(n, 8.0, 2.0, seed=seed), seed=seed, n_resamples=1000)
+    finally:
+        stop.set()
+        thread.join()
+    assert (ci.lower.hex(), ci.upper.hex()) == (lower, upper)
+    assert forks == []
+
+
+def test_bootstrap_ignores_the_multi_threaded_fork_warning(monkeypatch, forks, cpus, floor):
+    # CPython 3.12+ warns at a fork where another OS thread runs, as OpenBLAS's pool
+    # does once numpy is loaded. Here every fork warns so, on any Python: shown once
+    # a call under pytest's "always" filter, raised under "error".
+    fork = os.fork
+
+    def warning():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning)
+    n, seed, lower, upper = BOOTSTRAP_PINS["n2000"]
+    values = beta_sample(n, 8.0, 2.0, seed=seed)
+    cpus(3)
+    floor(n * 1000 // 4)
+    for action in ("always", "error"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            ci = bootstrap_ci(values, seed=seed, n_resamples=1000)
+        assert [str(w.message) for w in caught] == []
+        assert (ci.lower.hex(), ci.upper.hex()) == (lower, upper)
+    assert len(forks) == 4
+    assert_no_child()
+
+
+# Nine 1.0s and a tenth of the largest float: a resample that draws the big value six
+# times overflows. At seed 0, of 10,000 resamples only 7667 and 8314 do, both past
+# the first two blocks of 3276, which this process draws on two CPUs.
+OVERFLOW_VALUES = [1.0] * 9 + [sys.float_info.max / 5.5]
+
+
+@pytest.mark.parametrize("count", [2, MANY])
+def test_bootstrap_overflow_in_a_worker_is_the_one_process_error(forks, cpus, floor, count):
+    floor(10 * 10_000 // 4)
+    errors = []
+    for cpu_count in (1, count):
+        cpus(cpu_count)
+        with pytest.raises(ValueError) as raised:
+            bootstrap_ci(OVERFLOW_VALUES, seed=0)
+        errors.append(str(raised.value))
+        assert_no_child()
+    assert errors == ["bootstrap_ci: a resample sum overflows the float range"] * 2
+    assert len(forks) == min(count, 4) - 1
+
+
+def in_worker_at_resample(monkeypatch, resample: int, act) -> None:
+    """Make the process that draws block ``resample`` call ``act(in_worker)`` first."""
+    parent, indices = os.getpid(), intervals._resample_indices
+
+    def patched(words, start, out, raw):
+        if start == resample:
+            act(os.getpid() != parent)
+        return indices(words, start, out, raw)
+
+    monkeypatch.setattr(intervals, "_resample_indices", patched)
+
+
+def test_killed_bootstrap_worker_is_a_child_process_error(monkeypatch, forks, cpus, floor):
+    def kill(in_worker):
+        if in_worker:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    in_worker_at_resample(monkeypatch, 6552, kill)  # the worker's first block
+    cpus(2)
+    floor(10 * 10_000 // 4)
+    with pytest.raises(ChildProcessError,
+                       match=f"^a bootstrap worker process ended with status {-signal.SIGKILL}$"):
+        bootstrap_ci([0.25, 0.5, 0.75] * 3 + [1.0], seed=0)
+    assert len(forks) == 1
+    assert_no_child()
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt(), MemoryError()],
+                         ids=["interrupt", "error"])
+def test_bootstrap_error_leaves_no_child_and_no_file(monkeypatch, tmp_path, forks, cpus, floor,
+                                                      exc):
+    # this process fails at its first block, while the workers still draw
+    def fail(in_worker):
+        if not in_worker:
+            raise exc
+
+    in_worker_at_resample(monkeypatch, 0, fail)
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    cpus(3)
+    floor(10 * 10_000 // 4)
+    fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    with pytest.raises(type(exc)):
+        bootstrap_ci([0.25, 0.5, 0.75] * 3 + [1.0], seed=0)
+    assert len(forks) == 2
+    assert_no_child()
+    assert list(temp.iterdir()) == []
+    if fds is not None:
+        assert sorted(os.listdir("/proc/self/fd")) == fds
